@@ -1,5 +1,5 @@
-"""Command line front end: build/query/replay over event logs, plus
-bench and selftest entry points.
+"""Command line front end: build/query/replay over event logs, plus a
+selftest entry point.
 
 Exit codes: 0 ok, 1 verification failure, 2 input error, 3 constraint
 violation (duplicate or missing coordinate).
@@ -13,11 +13,9 @@ import json
 import logging
 import math
 import os
-import subprocess
 import sys
 from fractions import Fraction
 
-from . import bench as bench_mod
 from . import snapshot as snap_mod
 from .colour_array import DynamicColourArray
 from .errors import DuplicateKeyError
@@ -32,8 +30,6 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_INPUT = 2
 EXIT_CONSTRAINT = 3
-
-BENCH_COLUMNS = ("backend", "n", "alpha", "op", "p50_us", "p99_us", "rebuild_work_per_op")
 
 
 class InputError(Exception):
@@ -356,42 +352,6 @@ def cmd_replay(args) -> int:
     return EXIT_OK
 
 
-# ---- bench ----
-
-def _other_backend_rows(args) -> list[dict]:
-    want = "pure" if bench_mod.BACKEND == "native" else "native"
-    env = dict(os.environ, RANGE_MAJ_BACKEND=want)
-    cmd = [
-        sys.executable, "-m", "rangemaj.cli", "bench",
-        "--sizes", args.sizes, "--alphas", args.alphas,
-        "--seed", str(args.seed), "--iters", str(args.iters),
-        "--format", "jsonl",
-    ]
-    proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise InputError(f"bench subprocess for backend {want} failed: {proc.stderr.strip()}")
-    return [json.loads(line) for line in proc.stdout.splitlines() if line.strip()]
-
-
-def cmd_bench(args) -> int:
-    try:
-        sizes = [int(s) for s in args.sizes.split(",") if s]
-        alphas = [parse_alpha(a) for a in args.alphas.split(",") if a]
-    except ValueError as exc:
-        raise InputError(f"bad bench parameters: {exc}") from None
-    rows = bench_mod.run(sizes, alphas, args.seed, args.iters)
-    if args.backends == "both":
-        rows.extend(_other_backend_rows(args))
-    if args.format == "jsonl":
-        for row in rows:
-            print(json.dumps(row))
-    else:
-        writer = csv.DictWriter(sys.stdout, fieldnames=BENCH_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
-    return EXIT_OK
-
-
 # ---- selftest ----
 
 def cmd_selftest(args) -> int:
@@ -450,16 +410,6 @@ def _parser() -> argparse.ArgumentParser:
     r.add_argument("--alpha", default="1/2")
     r.add_argument("--mode", choices=snap_mod.MODES, default="int")
     r.set_defaults(fn=cmd_replay)
-
-    be = sub.add_parser("bench", help="latency/work benchmark")
-    be.add_argument("--sizes", default="1000,5000")
-    be.add_argument("--alphas", default="1/2,1/10")
-    be.add_argument("--seed", type=int, default=0)
-    be.add_argument("--iters", type=int, default=300,
-                    help="timed repetitions per op")
-    be.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-    be.add_argument("--backends", choices=("active", "both"), default="active")
-    be.set_defaults(fn=cmd_bench)
 
     st = sub.add_parser("selftest", help="oracle-equivalence and bound audits")
     st.add_argument("--seed", type=int, default=0)

@@ -1,10 +1,9 @@
-"""Ordered multiset with rank and range counting, pure-Python backend.
+"""Ordered multiset with rank and range counting.
 
 Keys live in sorted blocks of a few hundred entries; a directory of block
 minima plus a Fenwick tree over block sizes turns every rank query into one
 directory bisect, one Fenwick prefix, and one in-block bisect. Works for any
-totally ordered key type (ints, floats, tuples). The compiled backend in
-``_counted_fast`` mirrors this exact layout for machine ints and floats.
+totally ordered key type (ints, floats, tuples).
 """
 
 from __future__ import annotations

@@ -104,6 +104,13 @@ class MajorityIndex2D:
             raise ValueError(f"finite {what} required, got {v!r}")
         return v
 
+    @staticmethod
+    def _check_rect(*bounds):
+        # query bounds may be infinite, as in the 1-D float kind, never NaN
+        for v in bounds:
+            if isinstance(v, bool) or not isinstance(v, (int, float)) or v != v:
+                raise ValueError(f"numeric, non-NaN query bound required, got {v!r}")
+
     # ---- construction ----
 
     @classmethod
@@ -302,6 +309,7 @@ class MajorityIndex2D:
     # ---- counting layers ----
 
     def rect_count(self, xlo, xhi, ylo, yhi) -> int:
+        self._check_rect(xlo, xhi, ylo, yhi)
         lo, hi = _ylo_key(ylo), _yhi_key(yhi)
         m = 0
         for v in self._pieces(xlo, xhi):
@@ -312,6 +320,7 @@ class MajorityIndex2D:
         return m
 
     def rect_colour_count(self, label, xlo, xhi, ylo, yhi) -> int:
+        self._check_rect(xlo, xhi, ylo, yhi)
         cid = self.registry.id_of(label)
         if cid is None:
             return 0
@@ -338,6 +347,7 @@ class MajorityIndex2D:
     def query_counts(self, xlo, xhi, ylo, yhi) -> dict:
         """Labels of the rectangle's strict alpha-majorities with their
         exact in-rectangle counts."""
+        self._check_rect(xlo, xhi, ylo, yhi)
         self.stats["queries"] += 1
         if self.root is None or xlo > xhi or ylo > yhi:
             return {}

@@ -110,14 +110,18 @@ class ColourRegistry:
 
 
 class ScratchCounters:
-    """Per-query tally array indexed by colour id, drain-reset."""
+    """Per-query tally array indexed by colour id, drain-reset.
+
+    Slots are allocated on the first ``bump``, not up front, so an owner
+    that never tallies (a planar sub-index) holds no per-colour storage.
+    """
 
     __slots__ = ("_reg", "_slots", "_flags", "_touched")
 
     def __init__(self, registry: ColourRegistry):
         self._reg = registry
-        self._slots = [0] * (registry.capacity + 1)
-        self._flags = bytearray(registry.capacity + 1)
+        self._slots: list[int] = []
+        self._flags = bytearray()
         self._touched: list[int] = []
 
     def _ensure(self, cid: int) -> None:
@@ -152,8 +156,8 @@ class ScratchCounters:
     def resize(self) -> None:
         """Re-fit to the registry after a remap; slots must all be zero."""
         assert not self._touched, "resize during an active tally"
-        self._slots = [0] * (self._reg.capacity + 1)
-        self._flags = bytearray(self._reg.capacity + 1)
+        self._slots = []
+        self._flags = bytearray()
 
     def audit_zero(self) -> None:
         assert not self._touched

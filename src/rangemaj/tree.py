@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .backend import counted_set_from_sorted, make_counted_set
+from .counted_set import CountedOrderedSet
 from .errors import DuplicateKeyError
 from .navigation import findtop
 from .params import (
@@ -117,7 +117,7 @@ class MajorityIndex:
         self.registry = registry if registry is not None else ColourRegistry()
         self._manage_registry = manage_registry
         self.scratch = ScratchCounters(self.registry)
-        self.F = make_counted_set(key_kind)
+        self.F = CountedOrderedSet()
         self.per_colour: dict = {}
         self.root = None
         self.capture_debug = False
@@ -196,7 +196,8 @@ class MajorityIndex:
             per_cid.setdefault(cid, []).append(coord)
         self.F.load_sorted([c for c, _ in pts])
         for cid, coords in per_cid.items():
-            self.per_colour[cid] = counted_set_from_sorted(coords, self.key_kind)
+            pc = self.per_colour[cid] = CountedOrderedSet()
+            pc.load_sorted(coords)
 
         ids_arr = np.array([lf.colour for lf in leaves], dtype=np.int64)
         level = leaves
@@ -393,7 +394,7 @@ class MajorityIndex:
         self.F.insert(x)
         pc = self.per_colour.get(cid)
         if pc is None:
-            pc = make_counted_set(self.key_kind)
+            pc = CountedOrderedSet()
             self.per_colour[cid] = pc
         pc.insert(x)
 

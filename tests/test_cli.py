@@ -38,21 +38,6 @@ QUERY_SCHEMA = {
     "additionalProperties": False,
 }
 
-BENCH_SCHEMA = {
-    "type": "object",
-    "required": list(cli.BENCH_COLUMNS),
-    "properties": {
-        "backend": {"enum": ["native", "pure"]},
-        "n": {"type": "integer"},
-        "alpha": {"type": "string"},
-        "op": {"enum": ["insert", "delete", "query"]},
-        "p50_us": {"type": "number", "minimum": 0},
-        "p99_us": {"type": "number", "minimum": 0},
-        "rebuild_work_per_op": {"type": "number", "minimum": 0},
-    },
-    "additionalProperties": False,
-}
-
 REPLAY_SCHEMA = {
     "type": "object",
     "required": ["q", "line", "m", "result"],
@@ -201,6 +186,17 @@ class TestQuery:
         rc, _, _ = run_cli(capsys, "query", "--snapshot", snap, "100")
         assert rc == 2
 
+    def test_bounds_beyond_int64(self, capsys, tmp_path, events_csv):
+        snap = str(tmp_path / "s.jsonl")
+        run_cli(capsys, "build", "--input", events_csv, "--mode", "int",
+                "--snapshot", snap)
+        rc, out, err = run_cli(capsys, "query", "--snapshot", snap,
+                               str(-(2**70)), str(2**70))
+        assert rc == 0, err
+        assert jlines(out) == [
+            {"colour": "red", "count": 2, "fraction": 2 / 3, "m": 3}
+        ]
+
     def test_snapshot_round_trip_matches_live(self, capsys, tmp_path):
         rng = random.Random(11)
         pts = [(x, "k%d" % rng.randrange(6)) for x in rng.sample(range(3000), 250)]
@@ -325,27 +321,6 @@ class TestReplay:
         assert rc == 3
 
 
-class TestBench:
-    def test_one_row_per_cell_and_schema(self, capsys):
-        rc, out, _ = run_cli(
-            capsys, "bench", "--sizes", "200,400", "--alphas", "1/2,1/10",
-            "--iters", "20", "--format", "jsonl", "--seed", "1",
-        )
-        assert rc == 0
-        rows = jlines(out)
-        for row in rows:
-            jsonschema.validate(row, BENCH_SCHEMA)
-        keys = [(r["n"], r["alpha"], r["op"]) for r in rows]
-        assert len(keys) == len(set(keys)) == 12  # 2 sizes x 2 alphas x 3 ops
-
-    def test_csv_header(self, capsys):
-        rc, out, _ = run_cli(capsys, "bench", "--sizes", "100", "--alphas", "1/2",
-                             "--iters", "5")
-        assert rc == 0
-        head = out.splitlines()[0]
-        assert head == ",".join(cli.BENCH_COLUMNS)
-
-
 class TestSelftest:
     def test_deterministic_and_green(self, capsys):
         rc1, out1, _ = run_cli(capsys, "selftest", "--seed", "7", "--iters", "400")
@@ -357,6 +332,12 @@ class TestSelftest:
 
 
 class TestEntryPoint:
+    def test_unknown_command_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["bench"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
     def test_module_invocation(self, tmp_path):
         path = tmp_path / "e.csv"
         path.write_text("1,a\n2,b\n", encoding="utf-8")

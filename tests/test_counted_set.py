@@ -1,36 +1,20 @@
 """Counted ordered set: examples, oracle equivalence, structural churn."""
 
 import random
-import subprocess
-import sys
 from bisect import bisect_left, bisect_right, insort
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rangemaj import backend
 from rangemaj.counted_set import CountedOrderedSet
 
 
-def _variants():
-    out = [("pure", "object")]
-    if backend.have_native():
-        out += [("native", "int"), ("native", "float")]
-    return out
-
-
-VARIANTS = _variants()
-
-
-@pytest.fixture(params=VARIANTS, ids=lambda v: f"{v[0]}-{v[1]}")
-def variant(request):
+# A single-parameter fixture, so that each test keeps its ``[pure-object]``
+# id, and with it its history in earlier test reports.
+@pytest.fixture(params=[CountedOrderedSet], ids=["pure-object"])
+def make(request):
     return request.param
-
-
-def make(variant):
-    bk, kind = variant
-    return backend.make_counted_set(kind, backend=bk)
 
 
 class SortedRef:
@@ -61,21 +45,21 @@ class SortedRef:
         return self.a[i] if i < len(self.a) else None
 
 
-def test_insert_examples(variant):
-    cs = make(variant)
+def test_insert_examples(make):
+    cs = make()
     cs.insert(5)
     assert cs.count_range(5, 5) == 1
     cs.insert(5)
     assert cs.count_range(5, 5) == 2
 
-    cs2 = make(variant)
+    cs2 = make()
     for k in (1, 3, 9):
         cs2.insert(k)
     assert cs2.count_range(2, 9) == 2
 
 
-def test_delete_examples(variant):
-    cs = make(variant)
+def test_delete_examples(make):
+    cs = make()
     cs.insert(5)
     cs.insert(5)
     cs.delete(5)
@@ -85,7 +69,7 @@ def test_delete_examples(variant):
         cs.delete(4)
 
     # delete then reinsert restores every count
-    cs3 = make(variant)
+    cs3 = make()
     for k in (2, 4, 4, 7):
         cs3.insert(k)
     before = [cs3.count_range(lo, hi) for lo in range(9) for hi in range(lo, 9)]
@@ -95,22 +79,22 @@ def test_delete_examples(variant):
     assert before == after
 
 
-def test_count_range_examples(variant):
-    cs = make(variant)
+def test_count_range_examples(make):
+    cs = make()
     for k in (1, 2, 3):
         cs.insert(k)
     assert cs.count_range(1, 3) == 3
     assert cs.count_range(4, 9) == 0
     assert cs.count_range(3, 1) == 0
 
-    cs2 = make(variant)
+    cs2 = make()
     for k in (2, 4, 4, 7):
         cs2.insert(k)
     assert cs2.count_range(3, 6) == 2
 
 
-def test_predecessor_successor_examples(variant):
-    cs = make(variant)
+def test_predecessor_successor_examples(make):
+    cs = make()
     for k in (1, 5, 9):
         cs.insert(k)
     assert cs.successor(2) == 5
@@ -121,8 +105,8 @@ def test_predecessor_successor_examples(variant):
     assert cs.predecessor(100) == 9
 
 
-def test_empty_set(variant):
-    cs = make(variant)
+def test_empty_set(make):
+    cs = make()
     assert len(cs) == 0
     assert cs.count_range(0, 100) == 0
     assert cs.predecessor(5) is None
@@ -132,11 +116,10 @@ def test_empty_set(variant):
         cs.delete(5)
 
 
-def test_mixed_oracle(variant):
-    # primary variants get the full 1e5-op run, the rest a shorter one
-    n_ops = 100_000 if variant in (("pure", "object"), ("native", "int")) else 20_000
+def test_mixed_oracle(make):
+    n_ops = 100_000
     rng = random.Random(0xC0DE + n_ops)
-    cs = make(variant)
+    cs = make()
     ref = SortedRef()
     for step in range(n_ops):
         r = rng.random()
@@ -166,11 +149,11 @@ def test_mixed_oracle(variant):
     assert len(cs) == len(ref.a)
 
 
-def test_structural_churn(variant):
+def test_structural_churn(make):
     rng = random.Random(7)
     keys = list(range(5000))
     rng.shuffle(keys)
-    cs = make(variant)
+    cs = make()
     for i, k in enumerate(keys):
         cs.insert(k)
         if i % 500 == 0:
@@ -191,8 +174,8 @@ def test_structural_churn(variant):
     assert cs.count_range(0, 100) == 1
 
 
-def test_duplicates_span_blocks(variant):
-    cs = make(variant)
+def test_duplicates_span_blocks(make):
+    cs = make()
     ref = SortedRef()
     for _ in range(900):
         cs.insert(500)
@@ -212,12 +195,13 @@ def test_duplicates_span_blocks(variant):
     assert cs.count_range(499, 501) == ref.count_range(499, 501) == 2
 
 
-def test_load_sorted(variant):
+def test_load_sorted(make):
     rng = random.Random(13)
     keys = sorted(rng.randint(0, 2000) for _ in range(3000))
-    cs = backend.counted_set_from_sorted(keys, variant[1], backend=variant[0])
+    cs = make()
+    cs.load_sorted(keys)
     cs.audit()
-    inc = make(variant)
+    inc = make()
     for k in keys:
         inc.insert(k)
     for _ in range(400):
@@ -228,14 +212,15 @@ def test_load_sorted(variant):
         assert cs.successor(hi) == inc.successor(hi)
     assert len(cs) == len(inc) == 3000
 
-    empty = backend.counted_set_from_sorted([], variant[1], backend=variant[0])
+    empty = make()
+    empty.load_sorted([])
     assert len(empty) == 0
     empty.insert(1)
     assert len(empty) == 1
 
 
-def test_contains(variant):
-    cs = make(variant)
+def test_contains(make):
+    cs = make()
     for k in (3, 8, 8, 15):
         cs.insert(k)
     assert 8 in cs
@@ -277,67 +262,10 @@ def test_property_vs_reference(ops):
 
 
 def test_object_keys_pure():
-    # tuple keys order lexicographically; the pure backend must serve them
-    cs = backend.make_counted_set("object")
-    assert isinstance(cs, CountedOrderedSet)
+    # tuple keys order lexicographically
+    cs = CountedOrderedSet()
     for key in [(3.0, 1), (1.0, 2), (3.0, 0), (2.5, 7)]:
         cs.insert(key)
     assert cs.count_range((1.0, 0), (3.0, 0)) == 3
     assert cs.successor((2.6, 0)) == (3.0, 0)
     assert cs.predecessor((3.0, 99)) == (3.0, 1)
-
-
-@pytest.mark.skipif(not backend.have_native(), reason="extension not built")
-def test_native_matches_pure_trace():
-    rng = random.Random(99)
-    fast = backend.make_counted_set("int", backend="native")
-    pure = backend.make_counted_set("int", backend="pure")
-    live = []
-    for _ in range(30_000):
-        r = rng.random()
-        if r < 0.5 or not live:
-            k = rng.randint(-(2**40), 2**40)
-            fast.insert(k)
-            pure.insert(k)
-            live.append(k)
-        elif r < 0.75:
-            k = live.pop(rng.randrange(len(live)))
-            fast.delete(k)
-            pure.delete(k)
-        else:
-            lo = rng.randint(-(2**40), 2**40)
-            hi = lo + rng.randint(0, 2**39)
-            assert fast.count_range(lo, hi) == pure.count_range(lo, hi)
-            assert fast.predecessor(lo) == pure.predecessor(lo)
-            assert fast.successor(lo) == pure.successor(lo)
-            assert fast.rank_lt(hi) == pure.rank_lt(hi)
-            assert fast.rank_le(hi) == pure.rank_le(hi)
-    fast.audit()
-    pure.audit()
-    assert len(fast) == len(pure)
-
-
-def test_make_counted_set_rejects_unknown_kind():
-    with pytest.raises(ValueError):
-        backend.make_counted_set("decimal")
-
-
-def test_backend_env_override(child_env):
-    code = "import rangemaj.backend as b; print(b.BACKEND)"
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env=child_env(RANGE_MAJ_BACKEND="pure"),
-    )
-    assert out.returncode == 0
-    assert out.stdout.strip() == "pure"
-
-    bad = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env=child_env(RANGE_MAJ_BACKEND="sideways"),
-    )
-    assert bad.returncode != 0
-    assert "RANGE_MAJ_BACKEND" in bad.stderr

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -76,6 +77,26 @@ class TestBasics:
             idx.insert(True, 1, "a")
         idx.insert(1, 2.5, "a")
         assert idx.query(0, 2, 2.0, 3.0) == {"a"}
+
+    def test_query_bounds_validated(self):
+        idx = MajorityIndex2D.build([(0, 1, "a"), (1, 2, "a"), (2, 3, "b")], "1/2")
+        good = [0, 2, 0, 5]
+        for pos in range(4):
+            for bad in (float("nan"), "5", None, True):
+                box = list(good)
+                box[pos] = bad
+                with pytest.raises(ValueError):
+                    idx.query_counts(*box)
+                with pytest.raises(ValueError):
+                    idx.query(*box)
+                with pytest.raises(ValueError):
+                    idx.rect_count(*box)
+                with pytest.raises(ValueError):
+                    idx.rect_colour_count("a", *box)
+        # infinite bounds stay legal and cover everything on their side
+        assert idx.query_counts(-math.inf, math.inf, -math.inf, math.inf) == {"a": 2}
+        assert idx.rect_count(0, 2, -math.inf, 2) == 2
+        assert idx.rect_colour_count("a", -math.inf, 1, 0, math.inf) == 2
 
     def test_repeating_y_allowed(self):
         idx = MajorityIndex2D.build([(i, 42, "r" if i < 7 else "b") for i in range(10)], "1/2")
@@ -224,6 +245,26 @@ class TestOracleEquivalence:
             yhi = rng.randrange(ylo, 40)
             want = naive_majority_2d(pts, xlo, xhi, ylo, yhi, "1/3")
             assert idx.query(xlo, xhi, ylo, yhi) == want
+
+
+class TestMemory:
+    def test_build_holds_no_per_colour_tally_per_sub_index(self):
+        # sub-indexes never tally; with many colours, slots sized to the
+        # shared registry in every x-node would cost far more than this
+        rng = random.Random(3)
+        n, colours = 2000, 1000
+        pts = [
+            (x, rng.randrange(500), "c%d" % rng.randrange(colours))
+            for x in rng.sample(range(10 * n), n)
+        ]
+        tracemalloc.start()
+        try:
+            idx = MajorityIndex2D.build(pts, "1/4")
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(idx) == n
+        assert held / n < 10_000, f"{held / n:.0f} bytes per point"
 
 
 class TestSharedRegistry:

@@ -146,6 +146,10 @@ class TestUpdates:
         idx.insert(2.5, "a")
         assert idx.query(2.0, 3.0) == {"a"}
 
+    def test_unknown_key_kind_rejected(self):
+        with pytest.raises(ValueError):
+            MajorityIndex("1/2", "decimal")
+
 
 class TestCandidateLists:
     def test_top_two_of_three_colours(self):
