@@ -81,10 +81,10 @@ class LemmaAuditor:
                 f"mass {below_mass} outside top groups >= alpha*m/2 (m={m})"
             )
 
+        # the mass each canonical node contributes to the tally, recounted
+        # here for the top groups as well as for the nodes below them
         counted: dict = {}
-        for cid, tally in dbg["drained"]:
-            counted[cid] = counted.get(cid, 0) + tally
-        for v in below:
+        for v in [n for _, ns in groups for n in ns] + below:
             if v.height == 0:
                 counted[v.colour] = counted.get(v.colour, 0) + 1
             elif v.cand is not None:

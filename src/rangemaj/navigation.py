@@ -5,6 +5,10 @@ Every node caches a link to an ancestor roughly sqrt(lg n) levels up.
 Links are validated on read (the target must be alive and its range must
 contain the node's range) and recomputed lazily when stale, so
 restructures never have to chase incoming links.
+
+Queries find their top levels by plain decomposition
+(``MajorityIndex._top_groups``); this module reproduces the paper's
+search, which the acceptance gate checks against that decomposition.
 """
 
 from __future__ import annotations

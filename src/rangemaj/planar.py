@@ -5,9 +5,10 @@ a 0.7 child ratio) whose internal nodes each carry a full 1-D majority
 index over the y-coordinates of their x-span, keyed by (y, x) so keys
 stay distinct. A rectangle query splits [x_lo, x_hi] into O(lg n)
 canonical x-pieces, runs the 1-D candidate collection of each piece
-into one shared scratch array, filters once globally at a quarter of
-the reporting threshold, and verifies survivors with exact per-colour
-rectangle counts drawn from the same sub-index counting sets.
+into one shared tally, which also yields the rectangle's point count,
+filters once globally at a quarter of the reporting threshold, and
+verifies survivors with exact per-colour rectangle counts drawn from
+the same sub-index counting sets.
 
 x-coordinates are pairwise distinct (the 1-D index's rule, lifted);
 y-coordinates may repeat freely.
@@ -82,7 +83,7 @@ class MajorityIndex2D:
         self._aq = self.cfg.alpha.denominator
         self._shared_registry = registry is not None
         self.registry = registry if registry is not None else ColourRegistry()
-        self.scratch = ScratchCounters(self.registry)
+        self.scratch = ScratchCounters()
         self.root = None
         self._x_present: set = set()
         self.stats = {"queries": 0, "rebuilds": 0, "rebuild_points": 0}
@@ -352,21 +353,18 @@ class MajorityIndex2D:
         if self.root is None or xlo > xhi or ylo > yhi:
             return {}
         pieces = self._pieces(xlo, xhi)
-        if not pieces:
-            return {}
-        m = self.rect_count(xlo, xhi, ylo, yhi)
-        if m == 0:
-            return {}
         lo, hi = _ylo_key(ylo), _yhi_key(yhi)
         sc = self.scratch
+        m = 0
         for v in pieces:
             if v.weight == 1:
                 if ylo <= v.y <= yhi:
                     sc.bump(v.cid, 1)
+                    m += 1
             else:
-                v.sub._collect(lo, hi, sc)
+                m += v.sub._collect(lo, hi, sc)
         p, q = self._ap, self._aq
-        survivors = [cid for cid, t in sc.drain() if 4 * q * t > p * m]
+        survivors = [cid for cid, t in sc.drain().items() if 4 * q * t > p * m]
         # disjoint canonical masses sum to at most m
         assert len(survivors) * p <= 4 * q, "survivor bound exceeded"
         out = {}

@@ -1,10 +1,9 @@
-"""Colour labels mapped to small dense integer ids, plus scratch counters.
+"""Colour labels mapped to small dense integer ids, plus the query tally.
 
 External colour labels (any hashable) are interned to ids that stay in
 [1, 2n] for n stored points: a global remap reassigns ids densely once
-the issued-id high-water mark exceeds twice the point count. The scratch
-counter array is the per-query tally indexed by id; it tracks touched
-slots so a drain costs output size, not capacity.
+the issued-id high-water mark exceeds twice the point count. The
+per-query tally is a dict from id to summed count, emptied by a drain.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ class ColourRegistry:
 
     @property
     def capacity(self) -> int:
-        """High-water mark of issued ids; scratch arrays size to this."""
+        """High-water mark of issued ids."""
         return len(self._labels) - 1
 
     @property
@@ -109,56 +108,23 @@ class ColourRegistry:
         assert sorted(self._free) == retired
 
 
-class ScratchCounters:
-    """Per-query tally array indexed by colour id, drain-reset.
+class ScratchCounters(dict):
+    """Per-query tally: colour id -> summed count, drain-reset.
 
-    Slots are allocated on the first ``bump``, not up front, so an owner
-    that never tallies (a planar sub-index) holds no per-colour storage.
+    Hot loops write ``t[c] = t.get(c, 0) + n`` directly; ``bump`` is the
+    same step as a method.
     """
 
-    __slots__ = ("_reg", "_slots", "_flags", "_touched")
-
-    def __init__(self, registry: ColourRegistry):
-        self._reg = registry
-        self._slots: list[int] = []
-        self._flags = bytearray()
-        self._touched: list[int] = []
-
-    def _ensure(self, cid: int) -> None:
-        if not 1 <= cid <= self._reg.capacity:
-            raise IndexError(f"colour id {cid} out of range")
-        need = self._reg.capacity + 1 - len(self._slots)
-        if need > 0:
-            self._slots.extend([0] * need)
-            self._flags.extend(b"\x00" * need)
+    __slots__ = ()
 
     def bump(self, cid: int, delta: int) -> None:
-        self._ensure(cid)
-        self._slots[cid] += delta
-        if not self._flags[cid]:
-            self._flags[cid] = 1
-            self._touched.append(cid)
+        self[cid] = self.get(cid, 0) + delta
 
-    def read(self, cid: int) -> int:
-        self._ensure(cid)
-        return self._slots[cid]
-
-    def drain(self) -> list[tuple[int, int]]:
-        """All touched (id, total) pairs; every touched slot reset to 0."""
-        out = []
-        for cid in self._touched:
-            out.append((cid, self._slots[cid]))
-            self._slots[cid] = 0
-            self._flags[cid] = 0
-        self._touched.clear()
+    def drain(self) -> dict:
+        """All (id, total) pairs as a dict; the tally is left empty."""
+        out = dict(self)
+        self.clear()
         return out
 
-    def resize(self) -> None:
-        """Re-fit to the registry after a remap; slots must all be zero."""
-        assert not self._touched, "resize during an active tally"
-        self._slots = []
-        self._flags = bytearray()
-
     def audit_zero(self) -> None:
-        assert not self._touched
-        assert all(v == 0 for v in self._slots), "scratch slot left nonzero"
+        assert not self, "tally left nonzero"

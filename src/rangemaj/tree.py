@@ -12,7 +12,9 @@ light nodes are scanned directly. A query snaps its endpoints to stored
 coordinates, splits the range into canonical nodes, accumulates
 candidate counts from the top few height levels only, filters at a
 quarter of the reporting threshold, and verifies survivors exactly
-against per-colour counting structures.
+against per-colour counting structures. Every key kind takes the same
+decomposition path; the paper's stride-link search for the top levels
+lives in ``navigation`` as a reproduction and is not on the query path.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ import numpy as np
 
 from .counted_set import CountedOrderedSet
 from .errors import DuplicateKeyError
-from .navigation import findtop
 from .params import (
     BRANCH,
     AlphaConfig,
@@ -101,9 +102,10 @@ class _Node:
 class MajorityIndex:
     """Dynamic 1-D range alpha-majority index.
 
-    key_kind selects the coordinate domain: "int" (64-bit integers, uses
-    the stride-jump top-level discovery), "float" (finite doubles), or
-    "object" (any totally ordered Python keys, e.g. tuples).
+    key_kind selects the coordinate domain: "int" (integers within
+    +/-2^62), "float" (finite doubles), or "object" (any totally ordered
+    Python keys, e.g. tuples). It changes validation only; every kind
+    answers through the same query path.
     """
 
     def __init__(self, alpha, key_kind="int", registry=None, manage_registry=True):
@@ -116,7 +118,7 @@ class MajorityIndex:
         self.prune_cutoff = 2 * self.cfg.list_size
         self.registry = registry if registry is not None else ColourRegistry()
         self._manage_registry = manage_registry
-        self.scratch = ScratchCounters(self.registry)
+        self.scratch = ScratchCounters()
         self.F = CountedOrderedSet()
         self.per_colour: dict = {}
         self.root = None
@@ -503,7 +505,6 @@ class MajorityIndex:
                     stack.extend(u.children)
                 else:
                     u.colour = mapping[u.colour]
-        self.scratch.resize()
 
     # ---- range machinery ----
 
@@ -572,37 +573,43 @@ class MajorityIndex:
     def _top_groups(self, a, b):
         return group_by_height(self._decompose_all(a, b))[: self.cfg.top_count]
 
-    def _accumulate(self, groups, scratch) -> None:
+    def _leaf_tally(self, v, t, a=None, b=None) -> None:
+        """Add the colours of v's leaves to tally t, only those with
+        coordinates in [a, b] when bounds are given."""
+        level = [v]
+        while level[0].height > 1:
+            level = [c for u in level for c in u.children]
+        get = t.get
+        for u in level:
+            kids = u.children
+            if a is not None:
+                kids = [lf for lf in kids if a <= lf.coord <= b]
+            for lf in kids:
+                c = lf.colour
+                t[c] = get(c, 0) + 1
+        self.stats["pruned_leaf_visits"] += v.weight
+
+    def _accumulate(self, groups, t) -> list:
+        """Tally the leaves and light nodes of groups exactly into t;
+        return the listed nodes, whose lists the caller reads."""
+        listed = []
+        get = t.get
         for _, nodes in groups:
             for u in nodes:
                 if u.height == 0:
-                    scratch.bump(u.colour, 1)
+                    c = u.colour
+                    t[c] = get(c, 0) + 1
                 elif u.cand is not None:
-                    for cid, cnt in u.cand.items():
-                        scratch.bump(cid, cnt)
+                    listed.append(u)
                 else:
-                    stack = [u]
-                    while stack:
-                        w = stack.pop()
-                        if w.height:
-                            stack.extend(w.children)
-                        else:
-                            scratch.bump(w.colour, 1)
-                    self.stats["pruned_leaf_visits"] += u.weight
+                    self._leaf_tally(u, t)
+        return listed
 
     def scan_pruned(self, v, a, b, m) -> dict:
         """Exact alpha-majorities of [a, b] within light node v, by leaf scan."""
-        sc = self.scratch
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            if u.height:
-                stack.extend(u.children)
-            elif a <= u.coord <= b:
-                sc.bump(u.colour, 1)
-        self.stats["pruned_leaf_visits"] += v.weight
+        self._leaf_tally(v, self.scratch, a, b)
         p, q = self._ap, self._aq
-        return {cid: n for cid, n in sc.drain() if q * n > p * m}
+        return {cid: n for cid, n in self.scratch.drain().items() if q * n > p * m}
 
     # ---- queries ----
 
@@ -620,9 +627,11 @@ class MajorityIndex:
         lo = self._query_bound(lo, "lo")
         hi = self._query_bound(hi, "hi")
         self.stats["queries"] += 1
-        dbg = {"snapped": None, "m": 0, "mode": "empty", "groups": None, "drained": None}
+        dbg = None
         if self.capture_debug:
-            self.last_query_debug = dbg
+            dbg = self.last_query_debug = {
+                "snapped": None, "m": 0, "mode": "empty", "groups": None, "drained": None
+            }
         if self.root is None or lo > hi:
             return {}
         snapped = self.snap(lo, hi)
@@ -631,15 +640,11 @@ class MajorityIndex:
         a, b = snapped
         m = self.F.count_range(a, b)
         p, q = self._ap, self._aq
-        dbg["snapped"] = (a, b)
-        dbg["m"] = m
 
         cover = self._cover_node(a, b)
         if cover.height == 0:
-            dbg["mode"] = "single"
-            dbg["result"] = {cover.colour: 1}
-            return {cover.colour: 1}
-        if cover.min_leaf.coord == a and cover.max_leaf.coord == b:
+            mode, out = "single", {cover.colour: 1}
+        elif cover.min_leaf.coord == a and cover.max_leaf.coord == b:
             if cover.cand is not None:
                 out = {}
                 for cid in cover.cand:
@@ -647,37 +652,53 @@ class MajorityIndex:
                     f = pc.count_range(a, b) if pc is not None else 0
                     if q * f > p * m:
                         out[cid] = f
-                dbg["mode"] = "listed"
+                mode = "listed"
             else:
-                out = self.scan_pruned(cover, a, b, m)
-                dbg["mode"] = "pruned"
-            dbg["result"] = out
-            return out
-
-        if self.key_kind == "int":
-            wa = self._find_leaf(a)
-            wb = self._find_leaf(b)
-            groups = findtop(self, wa, wb, self.cfg.top_count)
+                mode, out = "pruned", self.scan_pruned(cover, a, b, m)
         else:
+            mode = "general"
             groups = self._top_groups(a, b)
-        self._accumulate(groups, self.scratch)
-        pairs = self.scratch.drain()
-        out = {}
-        for cid, tally in pairs:
-            if 4 * q * tally > p * m:
-                pc = self.per_colour.get(cid)
-                f = pc.count_range(a, b) if pc is not None else 0
-                if q * f > p * m:
-                    out[cid] = f
-        dbg["mode"] = "general"
-        dbg["groups"] = groups
-        dbg["drained"] = pairs
-        dbg["result"] = out
+            listed = self._accumulate(groups, self.scratch)
+            exact = self.scratch.drain()
+            # Pigeonhole: split the tally into K parts, one per listed node
+            # plus the exact leaf part. A colour whose tally exceeds
+            # T = alpha*m/4 holds more than T/K in some part. A list is in
+            # count-descending order at its rebuild, and each of the
+            # `staleness` updates since moved at most one tracked count by
+            # one, so every later entry is at most the current count plus
+            # staleness: no entry past the first with count + staleness
+            # <= T/K can exceed T/K.
+            pm = p * m
+            qk = 4 * q * (len(listed) + 1)
+            cands = {c for c, n in exact.items() if qk * n > pm}
+            for u in listed:
+                s = u.staleness
+                for c, n in u.cand.items():
+                    if qk * (n + s) <= pm:
+                        break
+                    cands.add(c)
+            drained = []
+            out = {}
+            for c in cands:
+                tally = exact.get(c, 0)
+                for u in listed:
+                    tally += u.cand.get(c, 0)
+                drained.append((c, tally))
+                if 4 * q * tally > pm:
+                    pc = self.per_colour.get(c)
+                    f = pc.count_range(a, b) if pc is not None else 0
+                    if q * f > pm:
+                        out[c] = f
+            if dbg is not None:
+                dbg["groups"] = groups
+                dbg["drained"] = drained
+        if dbg is not None:
+            dbg.update(snapped=(a, b), m=m, mode=mode, result=out)
         return out
 
-    def _collect(self, lo, hi, scratch) -> int:
-        """Accumulate candidate-mass tallies for [lo, hi] into a caller
-        scratch without filtering; returns the range's point count.
+    def _collect(self, lo, hi, t) -> int:
+        """Add full candidate tallies for [lo, hi] to a caller tally t
+        without filtering; returns the range's point count.
 
         Serves the planar wrapper, which merges tallies across several
         sub-indexes before applying its own global filter.
@@ -688,24 +709,14 @@ class MajorityIndex:
         a, b = snapped
         m = self.F.count_range(a, b)
         cover = self._cover_node(a, b)
-        if cover.height == 0:
-            scratch.bump(cover.colour, 1)
-            return m
         if cover.min_leaf.coord == a and cover.max_leaf.coord == b:
-            if cover.cand is not None:
-                for cid, cnt in cover.cand.items():
-                    scratch.bump(cid, cnt)
-            else:
-                stack = [cover]
-                while stack:
-                    u = stack.pop()
-                    if u.height:
-                        stack.extend(u.children)
-                    elif a <= u.coord <= b:
-                        scratch.bump(u.colour, 1)
-                self.stats["pruned_leaf_visits"] += cover.weight
-            return m
-        self._accumulate(self._top_groups(a, b), scratch)
+            groups = [(cover.height, [cover])]
+        else:
+            groups = self._top_groups(a, b)
+        get = t.get
+        for u in self._accumulate(groups, t):
+            for c, n in u.cand.items():
+                t[c] = get(c, 0) + n
         return m
 
     # ---- debug audits ----
@@ -754,6 +765,7 @@ class MajorityIndex:
                 assert len(v.cand) <= k_store
                 assert v.staleness < v.rebuild_at
                 for cid, cnt in v.cand.items():
+                    self.registry.label_of(cid)
                     assert 1 <= cnt <= v.weight
                 if deep:
                     for cid, cnt in v.cand.items():

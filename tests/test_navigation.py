@@ -144,12 +144,23 @@ class TestFindtop:
         t = d.index.cfg.top_count
         d.index.capture_debug = True
         rng = random.Random(1)
+        general = 0
         for _ in range(400):
             lo = rng.randrange(0, 50000)
             hi = rng.randrange(lo, 50000)
             d.do_query(lo, hi)
-            if d.index.last_query_debug["mode"] == "general":
+            dbg = d.index.last_query_debug
+            if dbg["mode"] == "general":
+                # queries decompose directly; findtop runs on the same range
+                a, b = dbg["snapped"]
+                wa, wb = d.index._find_leaf(a), d.index._find_leaf(b)
+                got = findtop(d.index, wa, wb, t)
+                assert [(h, set(map(id, ns))) for h, ns in got] == [
+                    (h, set(map(id, ns))) for h, ns in dbg["groups"]
+                ]
                 assert d.index.stats["last_findtop_lca_calls"] <= 4 * t
+                general += 1
+        assert general > 100
 
 
 class TestLinkAudit:

@@ -1,4 +1,4 @@
-"""Colour registry and scratch counters."""
+"""Colour registry and the per-query tally."""
 
 import random
 
@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rangemaj.registry import ColourRegistry, ScratchCounters
+from rangemaj.tree import MajorityIndex
 
 
 def test_intern_idempotent():
@@ -115,63 +116,68 @@ def test_remap_round_trips_labels():
 def test_scratch_bump_drain():
     reg = ColourRegistry()
     c = reg.intern("red")
-    sc = ScratchCounters(reg)
+    sc = ScratchCounters()
     sc.bump(c, 3)
     sc.bump(c, 2)
-    assert sc.read(c) == 5
-    assert sc.drain() == [(c, 5)]
-    assert sc.read(c) == 0
+    assert sc[c] == 5
+    assert sc.drain() == {c: 5}
+    assert c not in sc
     sc.audit_zero()
-    assert sc.drain() == []
+    assert sc.drain() == {}
 
 
 def test_scratch_independent_slots():
     reg = ColourRegistry()
     a = reg.intern("a")
     b = reg.intern("b")
-    sc = ScratchCounters(reg)
+    sc = ScratchCounters()
     sc.bump(a, 4)
     sc.bump(b, 7)
-    assert sc.read(a) == 4
-    assert sc.read(b) == 7
-    assert dict(sc.drain()) == {a: 4, b: 7}
+    assert sc[a] == 4
+    assert sc[b] == 7
+    assert sc.drain() == {a: 4, b: 7}
     sc.audit_zero()
 
 
-def test_scratch_out_of_range():
-    reg = ColourRegistry()
-    reg.intern("a")
-    sc = ScratchCounters(reg)
-    with pytest.raises(IndexError):
-        sc.bump(0, 1)
-    with pytest.raises(IndexError):
-        sc.bump(5, 1)
-    with pytest.raises(IndexError):
-        sc.read(2)
+def test_audit_rejects_unregistered_list_key():
+    # the tally takes any id; a list key that is not a live id is caught
+    # by the tree audit instead
+    idx = MajorityIndex.build([(i, "c%d" % (i % 3)) for i in range(400)], "1/2")
+    idx.audit_tree(deep=True)
+    v = idx.root
+    assert v.cand
+    good = dict(v.cand)
+    first = next(iter(good))
+    v.cand = {(idx.registry.capacity + 5 if c == first else c): n for c, n in good.items()}
+    with pytest.raises(KeyError):
+        idx.audit_tree()
+    v.cand = good
+    idx.audit_tree(deep=True)
 
 
 def test_scratch_grows_with_registry():
+    # no sizing step: every id the registry issues can be tallied at once
     reg = ColourRegistry()
-    sc = ScratchCounters(reg)
+    sc = ScratchCounters()
     ids = [reg.intern(i) for i in range(50)]
     for cid in ids:
         sc.bump(cid, 1)
-    assert len(sc.drain()) == 50
+    assert sc.drain() == dict.fromkeys(ids, 1)
     sc.audit_zero()
 
 
 def test_scratch_resize_after_remap():
+    # a remap needs nothing from the tally: the new dense ids tally at once
     reg = ColourRegistry()
     ids = [reg.intern(i) for i in range(100)]
-    sc = ScratchCounters(reg)
+    sc = ScratchCounters()
     for cid in ids[:90]:
         reg.release(cid)
     assert reg.maybe_remap(10) is not None
-    sc.resize()
     sc.audit_zero()
     for cid in reg.live_ids():
         sc.bump(cid, 2)
-    assert len(sc.drain()) == 10
+    assert sc.drain() == dict.fromkeys(range(1, 11), 2)
 
 
 @settings(max_examples=150, deadline=None)

@@ -383,6 +383,106 @@ class TestOracleEquivalence:
         idx.audit_tree(deep=True)
 
 
+def top_group_tally(groups) -> dict:
+    """Full tally of a query's top groups: every list entry, every leaf."""
+    out: dict = {}
+    for _, nodes in groups:
+        for v in nodes:
+            if v.cand is not None:
+                for c, n in v.cand.items():
+                    out[c] = out.get(c, 0) + n
+                continue
+            stack = [v]
+            while stack:
+                u = stack.pop()
+                if u.height:
+                    stack.extend(u.children)
+                else:
+                    out[u.colour] = out.get(u.colour, 0) + 1
+    return out
+
+
+def missed_without_staleness(groups, m, p, q) -> set:
+    """Colours over alpha*m/4 that a list scan ignoring staleness would skip."""
+    listed = [v for _, ns in groups for v in ns if v.cand is not None]
+    qk, pm = 4 * q * (len(listed) + 1), p * m
+    exact = top_group_tally([(h, [v for v in ns if v.cand is None]) for h, ns in groups])
+    seen = {c for c, n in exact.items() if qk * n > pm}
+    for u in listed:
+        for c, n in u.cand.items():
+            if qk * n <= pm:
+                break
+            seen.add(c)
+    full = top_group_tally(groups)
+    return {c for c, n in full.items() if 4 * q * n > pm} - seen
+
+
+def assert_survivors_complete(idx) -> None:
+    """The last general query's drained pairs hold every colour whose full
+    top-group tally exceeds alpha*m/4, each with exactly that tally."""
+    dbg = idx.last_query_debug
+    p, q = idx._ap, idx._aq
+    full = top_group_tally(dbg["groups"])
+    drained = dict(dbg["drained"])
+    assert len(drained) == len(dbg["drained"])
+    for c, n in drained.items():
+        assert n == full[c]
+    for c, n in full.items():
+        if 4 * q * n > p * dbg["m"]:
+            assert drained.get(c) == n
+
+
+class TestPigeonhole:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        alpha=st.sampled_from(["1/2", "1/4", "1/10", "1/20"]),
+        seed=st.integers(min_value=0, max_value=2**16),
+        zipf_a=st.sampled_from([1.1, 1.4, 2.0]),
+    )
+    def test_early_stop_keeps_every_filter_survivor(self, alpha, seed, zipf_a):
+        # churn first, so that the listed nodes a query reads are stale
+        # 20k points: at alpha 1/20 only nodes of height 4 carry lists
+        d = FuzzDriver(alpha, seed=seed, coord_lo=0, coord_hi=200_000, n_colours=40,
+                       zipf_a=zipf_a)
+        d.seed_points(20_000)
+        d.index.capture_debug = True
+        for _ in range(800):
+            d.do_insert() if d.rng.random() < 0.5 else d.do_delete()
+        general = stale = 0
+        for _ in range(40):
+            d.do_query()
+            dbg = d.index.last_query_debug
+            if dbg["mode"] != "general":
+                continue
+            general += 1
+            stale += any(v.staleness for _, ns in dbg["groups"] for v in ns if v.cand)
+            assert_survivors_complete(d.index)
+        assert general and stale
+
+    def test_early_stop_allows_for_staleness(self):
+        # 16 colours of about alpha/4 each, recoloured at random: some list
+        # entries sit near the stop point, and stale ones overtake earlier
+        # entries, so a scan that ignored staleness would miss a colour
+        live = 0
+        for seed in range(8):
+            rng = random.Random(seed)
+            pts = [(x, "c%d" % rng.randrange(16)) for x in rng.sample(range(30000), 3000)]
+            idx = MajorityIndex.build(pts, "1/4")
+            idx.capture_debug = True
+            for _ in range(1000):
+                x = rng.choice(pts)[0]
+                idx.delete(x)
+                idx.insert(x, "c%d" % rng.randrange(16))
+            for _ in range(2000):
+                a = rng.randrange(30000)
+                idx.query_counts(a, rng.randrange(a, 30000))
+                dbg = idx.last_query_debug
+                if dbg["mode"] == "general":
+                    assert_survivors_complete(idx)
+                    live += bool(missed_without_staleness(dbg["groups"], dbg["m"], 1, 4))
+        assert live
+
+
 class TestStats:
     def test_counters_move(self):
         d = FuzzDriver("1/2", seed=2, coord_lo=0, coord_hi=900, n_colours=6)
