@@ -1,14 +1,23 @@
-"""Ordered multiset with rank and range counting.
+"""Ordered multiset with rank and range counting, and an optional column.
 
 Keys live in sorted blocks of a few hundred entries; a directory of block
 minima plus a Fenwick tree over block sizes turns every rank query into one
 directory bisect, one Fenwick prefix, and one in-block bisect. Works for any
 totally ordered key type (ints, floats, tuples).
+
+A set may carry a column: one value per key, kept in value blocks parallel
+to the key blocks by the same insert, delete, split, merge and bulk-load
+code. A set with a column holds each key once. The index's point set keeps
+each point's colour id there, so the colours of any key range come out as
+one list of block slices (``values_from``), which ``collections.Counter``
+counts in C. A set gets its column from ``load_sorted(keys, values)``;
+``load_sorted((), ())`` starts an empty one.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
+from itertools import chain
 
 TARGET_BLOCK = 256
 SPLIT_AT = 2 * TARGET_BLOCK
@@ -16,10 +25,11 @@ MERGE_BELOW = TARGET_BLOCK // 4
 
 
 class CountedOrderedSet:
-    __slots__ = ("_blocks", "_mins", "_fen", "_size")
+    __slots__ = ("_blocks", "_vals", "_mins", "_fen", "_size")
 
     def __init__(self):
         self._blocks: list[list] = []
+        self._vals: list[list] | None = None  # value blocks, with a column
         self._mins: list = []
         self._fen: list[int] = [0]
         self._size = 0
@@ -54,58 +64,95 @@ class CountedOrderedSet:
 
     # ---- updates ----
 
-    def insert(self, key) -> None:
-        if not self._blocks:
-            self._blocks.append([key])
+    def insert(self, key, make_value=None):
+        """Add key.
+
+        With a column, make_value() gives the value stored beside a new
+        key and is returned; it is called only once key is known to be
+        absent, and a key already stored returns None and changes
+        nothing. Without a column the set is a multiset and returns None.
+        """
+        vals = self._vals
+        if (vals is None) != (make_value is None):
+            raise ValueError("a value is given exactly when the set has a column")
+        value = None
+        blocks = self._blocks
+        if not blocks:
+            if vals is not None:
+                value = make_value()
+                vals.append([value])
+            blocks.append([key])
             self._mins.append(key)
             self._fen = [0, 1]
             self._size = 1
-            return
+            return value
         i = bisect_right(self._mins, key) - 1
         if i < 0:
             i = 0
-        block = self._blocks[i]
-        insort(block, key)
+        block = blocks[i]
+        if vals is None:
+            pos = bisect_right(block, key)
+        else:
+            pos = bisect_left(block, key)
+            if pos < len(block) and block[pos] == key:
+                return None
+            value = make_value()
+            vals[i].insert(pos, value)
+        block.insert(pos, key)
         if key < self._mins[i]:
             self._mins[i] = key
         self._size += 1
         if len(block) >= SPLIT_AT:
             half = len(block) // 2
-            right = block[half:]
+            blocks.insert(i + 1, block[half:])
             del block[half:]
-            self._blocks.insert(i + 1, right)
-            self._mins.insert(i + 1, right[0])
+            if vals is not None:
+                vblock = vals[i]
+                vals.insert(i + 1, vblock[half:])
+                del vblock[half:]
+            self._mins.insert(i + 1, blocks[i + 1][0])
             self._fen_rebuild()
         else:
             self._fen_add(i, 1)
+        return value
 
-    def delete(self, key) -> None:
+    def delete(self, key):
+        """Remove one copy of key and return its value (None without a
+        column); KeyError when key is not stored."""
         i = bisect_right(self._mins, key) - 1 if self._blocks else -1
         if i < 0:
             raise KeyError(key)
-        block = self._blocks[i]
+        blocks, vals = self._blocks, self._vals
+        block = blocks[i]
         pos = bisect_left(block, key)
         if pos == len(block) or block[pos] != key:
             raise KeyError(key)
         del block[pos]
+        value = None if vals is None else vals[i].pop(pos)
         self._size -= 1
         if not block:
-            del self._blocks[i]
+            del blocks[i]
             del self._mins[i]
+            if vals is not None:
+                del vals[i]
             self._fen_rebuild()
-            return
+            return value
         if pos == 0:
             self._mins[i] = block[0]
-        if len(block) < MERGE_BELOW and len(self._blocks) > 1:
+        if len(block) < MERGE_BELOW and len(blocks) > 1:
             j = i - 1 if i > 0 else i + 1
-            if len(self._blocks[j]) + len(block) < SPLIT_AT:
+            if len(blocks[j]) + len(block) < SPLIT_AT:
                 lo, hi = (j, i) if j < i else (i, j)
-                self._blocks[lo].extend(self._blocks[hi])
-                del self._blocks[hi]
+                blocks[lo].extend(blocks[hi])
+                del blocks[hi]
                 del self._mins[hi]
+                if vals is not None:
+                    vals[lo].extend(vals[hi])
+                    del vals[hi]
                 self._fen_rebuild()
-                return
+                return value
         self._fen_add(i, -1)
+        return value
 
     # ---- queries ----
 
@@ -172,14 +219,47 @@ class CountedOrderedSet:
             return self._blocks[i + 1][0]
         return None
 
+    # ---- the column ----
+
+    def values_from(self, key, count) -> list:
+        """Values of the count stored keys from the first one at or above
+        key, in key order: a slice of each block the run touches."""
+        i = bisect_left(self._mins, key) - 1
+        if i < 0:
+            i, start = 0, 0
+        else:
+            start = bisect_left(self._blocks[i], key)
+        vals = self._vals
+        out = vals[i][start : start + count]
+        while len(out) < count:
+            i += 1
+            out += vals[i][: count - len(out)]
+        return out
+
+    def items(self):
+        """Iterator over the (key, value) pairs of a set with a column,
+        in key order."""
+        return zip(chain.from_iterable(self._blocks), chain.from_iterable(self._vals))
+
+    def map_values(self, fn) -> None:
+        """Replace every value v of the column with fn(v)."""
+        self._vals = [list(map(fn, block)) for block in self._vals]
+
     # ---- bulk ----
 
-    def load_sorted(self, keys) -> None:
-        """Replace contents with an already-sorted key sequence."""
+    def load_sorted(self, keys, values=None) -> None:
+        """Replace contents with an already-sorted key sequence; with
+        values (one per key, keys distinct), the set carries a column."""
         keys = list(keys)
-        self._blocks = [
-            keys[i : i + TARGET_BLOCK] for i in range(0, len(keys), TARGET_BLOCK)
-        ]
+        spans = range(0, len(keys), TARGET_BLOCK)
+        self._blocks = [keys[i : i + TARGET_BLOCK] for i in spans]
+        if values is None:
+            self._vals = None
+        else:
+            values = list(values)
+            if len(values) != len(keys):
+                raise ValueError("one value per key required")
+            self._vals = [values[i : i + TARGET_BLOCK] for i in spans]
         self._mins = [b[0] for b in self._blocks]
         self._size = len(keys)
         self._fen_rebuild()
@@ -196,3 +276,6 @@ class CountedOrderedSet:
         assert self._mins == [b[0] for b in self._blocks]
         for k in range(len(self._blocks) + 1):
             assert self._fen_prefix(k) == sum(len(b) for b in self._blocks[:k])
+        if self._vals is not None:
+            assert [len(b) for b in self._vals] == [len(b) for b in self._blocks]
+            assert all(a < b for a, b in zip(flat, flat[1:])), "column keys repeat"

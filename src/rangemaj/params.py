@@ -111,7 +111,8 @@ def rebuild_threshold(ell: int, beta: RationalLike) -> int:
     if ell < 1:
         raise ValueError(f"ell must be positive, got {ell!r}")
     b = _check_beta(beta)
-    return ceil_frac(b * ell / 2)
+    # ceil(b * ell / 2) in integers: this runs on every list rebuild
+    return -(-b.numerator * ell // (2 * b.denominator))
 
 
 def gamma_lower_bound(ell: int, m: int, beta: RationalLike) -> Fraction:

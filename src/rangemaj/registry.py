@@ -3,12 +3,14 @@
 External colour labels (any hashable) are interned to ids that stay in
 [1, 2n] for n stored points: a global remap reassigns ids densely once
 the issued-id high-water mark exceeds twice the point count. The
-per-query tally is a dict from id to summed count, emptied by a drain.
+per-query tally is a ``Counter`` from id to summed count, emptied by a
+drain.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 
 
 class ColourRegistry:
@@ -108,11 +110,12 @@ class ColourRegistry:
         assert sorted(self._free) == retired
 
 
-class ScratchCounters(dict):
+class ScratchCounters(Counter):
     """Per-query tally: colour id -> summed count, drain-reset.
 
-    Hot loops write ``t[c] = t.get(c, 0) + n`` directly; ``bump`` is the
-    same step as a method.
+    Hot loops add a whole list of colour ids with ``t.update(ids)``, which
+    counts in C, or write ``t[c] = t.get(c, 0) + n`` directly; ``bump`` is
+    that single step as a method.
     """
 
     __slots__ = ()

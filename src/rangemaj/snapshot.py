@@ -3,11 +3,14 @@
 Only the point data and the configuration go to disk; the tree is
 rebuilt on load, so file compatibility does not depend on internal
 layout. Records are one JSON object per line, LF-terminated, UTF-8.
+A save writes a temporary file in the target's directory, syncs it and
+renames it onto the target, so the target is always a whole snapshot.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from fractions import Fraction
 
 from .colour_array import DynamicColourArray
@@ -49,10 +52,8 @@ def save(obj, path, mode: str) -> None:
         records = ({"t": x, "y": y, "c": c} for x, y, c in obj.points())
     else:
         count = len(obj)
-        reg = obj.registry
-        records = (
-            {"t": lf.coord, "c": reg.label_of(lf.colour)} for lf in obj.leaves()
-        )
+        label = obj.registry.label_of
+        records = ({"t": x, "c": label(cid)} for x, cid in obj.F.items())
     header = {
         "format": FORMAT,
         "version": VERSION,
@@ -60,10 +61,24 @@ def save(obj, path, mode: str) -> None:
         "alpha": _alpha_str(obj.alpha),
         "count": count,
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(header) + "\n")
-        for rec in records:
-            fh.write(json.dumps(rec) + "\n")
+    # written whole to a temporary file beside the target, then renamed
+    # onto it: a failed or interrupted save leaves any old file intact.
+    # The name is unique per process; a file left by a crashed process
+    # of the same id is overwritten.
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    fh = open(tmp, "w", encoding="utf-8", newline="\n")
+    try:
+        with fh:
+            fh.write(json.dumps(header) + "\n")
+            for rec in records:
+                fh.write(json.dumps(rec) + "\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _record(line: str, lineno: int) -> dict:

@@ -8,13 +8,24 @@ arbitrary interleavings of inserts and deletes.
 Layout: a weight-balanced B-tree with branching parameter 8 and one
 coordinate per leaf. Heavy nodes carry a short list of their most
 frequent colours with counts, rebuilt lazily on a staleness budget;
-light nodes are scanned directly. A query snaps its endpoints to stored
-coordinates, splits the range into canonical nodes, accumulates
-candidate counts from the top few height levels only, filters at a
-quarter of the reporting threshold, and verifies survivors exactly
-against per-colour counting structures. Every key kind takes the same
-decomposition path; the paper's stride-link search for the top levels
-lives in ``navigation`` as a reproduction and is not on the query path.
+light nodes are scanned directly.
+
+The point set ``F`` carries each point's colour id in its column, in
+coordinate order, so a node's leaves are the ``weight`` entries of that
+column from the node's first coordinate on. A list rebuild, like the
+scan of a light node, therefore costs one lookup of that key in ``F``
+plus a ``collections.Counter`` over the slice: a count in C, linear in
+the node's weight, that touches no leaf object. A rebuild keeps the top
+colours by two C-level sorts, ids ascending and then stably by count
+descending.
+
+A query snaps its endpoints to stored coordinates, splits the range
+into canonical nodes, accumulates candidate counts from the top few
+height levels only, filters at a quarter of the reporting threshold, and
+verifies survivors exactly against per-colour counting structures.
+Every key kind takes the same decomposition path; the paper's
+stride-link search for the top levels lives in ``navigation`` as a
+reproduction and is not on the query path.
 """
 
 from __future__ import annotations
@@ -120,6 +131,7 @@ class MajorityIndex:
         self._manage_registry = manage_registry
         self.scratch = ScratchCounters()
         self.F = CountedOrderedSet()
+        self.F.load_sorted((), ())  # F carries the colour column
         self.per_colour: dict = {}
         self.root = None
         self.capture_debug = False
@@ -191,17 +203,19 @@ class MajorityIndex:
             return self
 
         leaves = []
+        cids = []
         per_cid: dict = {}
         for coord, lab in pts:
             cid = self.registry.intern(lab)
             leaves.append(_Leaf(coord, cid))
+            cids.append(cid)
             per_cid.setdefault(cid, []).append(coord)
-        self.F.load_sorted([c for c, _ in pts])
+        self.F.load_sorted([c for c, _ in pts], cids)
         for cid, coords in per_cid.items():
             pc = self.per_colour[cid] = CountedOrderedSet()
             pc.load_sorted(coords)
 
-        ids_arr = np.array([lf.colour for lf in leaves], dtype=np.int64)
+        ids_arr = np.array(cids, dtype=np.int64)
         level = leaves
         spans = [(i, i + 1) for i in range(len(leaves))]
         h = 0
@@ -262,19 +276,12 @@ class MajorityIndex:
     # ---- candidate lists ----
 
     def rebuild_list(self, v) -> None:
-        """Recompute C(v) exactly from the leaves of v's subtree."""
-        counts: Counter = Counter()
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            if u.height:
-                stack.extend(u.children)
-            else:
-                counts[u.colour] += 1
-        top = heapq.nsmallest(
-            self.cfg.list_size, counts.items(), key=lambda kv: (-kv[1], kv[0])
-        )
-        v.cand = dict(top)
+        """Recompute C(v) exactly from v's slice of F's colour column."""
+        counts = Counter(self.F.values_from(v.min_leaf.coord, v.weight))
+        # count descending, then id ascending: the stable descending sort
+        # by count keeps the ascending id order among equal counts
+        top = sorted(sorted(counts), key=counts.__getitem__, reverse=True)
+        v.cand = {c: counts[c] for c in top[: self.cfg.list_size]}
         v.staleness = 0
         v.ell_at_rebuild = v.weight
         v.rebuild_at = rebuild_threshold(v.weight, self.cfg.beta)
@@ -390,10 +397,10 @@ class MajorityIndex:
 
     def insert(self, x, colour) -> None:
         x = self._coord(x)
-        if self.F.count_range(x, x):
+        # one probe of F, which interns the colour only for a new x
+        cid = self.F.insert(x, lambda: self.registry.intern(colour))
+        if cid is None:
             raise DuplicateKeyError(x)
-        cid = self.registry.intern(colour)
-        self.F.insert(x)
         pc = self.per_colour.get(cid)
         if pc is None:
             pc = CountedOrderedSet()
@@ -445,8 +452,7 @@ class MajorityIndex:
 
     def delete(self, x) -> None:
         x = self._coord(x)
-        if self.root is None or not self.F.count_range(x, x):
-            raise KeyError(x)
+        cid = self.F.delete(x)  # KeyError(x) when x is not stored
         path = []
         cur = self.root
         while cur.height:
@@ -455,8 +461,6 @@ class MajorityIndex:
                 if c.max_leaf.coord >= x:
                     cur = c
                     break
-        cid = cur.colour
-        self.F.delete(x)
         pc = self.per_colour[cid]
         pc.delete(x)
         if not len(pc):
@@ -492,6 +496,7 @@ class MajorityIndex:
 
     def _apply_remap(self, mapping) -> None:
         self.per_colour = {mapping[c]: pc for c, pc in self.per_colour.items()}
+        self.F.map_values(mapping.__getitem__)
         if self.root is not None:
             stack = [self.root]
             while stack:
@@ -573,41 +578,32 @@ class MajorityIndex:
     def _top_groups(self, a, b):
         return group_by_height(self._decompose_all(a, b))[: self.cfg.top_count]
 
-    def _leaf_tally(self, v, t, a=None, b=None) -> None:
-        """Add the colours of v's leaves to tally t, only those with
-        coordinates in [a, b] when bounds are given."""
-        level = [v]
-        while level[0].height > 1:
-            level = [c for u in level for c in u.children]
-        get = t.get
-        for u in level:
-            kids = u.children
-            if a is not None:
-                kids = [lf for lf in kids if a <= lf.coord <= b]
-            for lf in kids:
-                c = lf.colour
-                t[c] = get(c, 0) + 1
+    def _leaf_colours(self, v) -> list:
+        """Colour ids of v's leaves, in order: v's slice of F's column."""
         self.stats["pruned_leaf_visits"] += v.weight
+        return self.F.values_from(v.min_leaf.coord, v.weight)
 
     def _accumulate(self, groups, t) -> list:
-        """Tally the leaves and light nodes of groups exactly into t;
-        return the listed nodes, whose lists the caller reads."""
+        """Tally the leaves and light nodes of groups exactly into t, in
+        one count in C; return the listed nodes, whose lists the caller
+        reads."""
         listed = []
-        get = t.get
+        ids = []
         for _, nodes in groups:
             for u in nodes:
                 if u.height == 0:
-                    c = u.colour
-                    t[c] = get(c, 0) + 1
+                    ids.append(u.colour)
                 elif u.cand is not None:
                     listed.append(u)
                 else:
-                    self._leaf_tally(u, t)
+                    ids += self._leaf_colours(u)
+        t.update(ids)
         return listed
 
     def scan_pruned(self, v, a, b, m) -> dict:
-        """Exact alpha-majorities of [a, b] within light node v, by leaf scan."""
-        self._leaf_tally(v, self.scratch, a, b)
+        """Exact alpha-majorities of the snapped range [a, b] when it is
+        exactly the span of light node v, by a scan of v's leaves."""
+        self.scratch.update(self._leaf_colours(v))
         p, q = self._ap, self._aq
         return {cid: n for cid, n in self.scratch.drain().items() if q * n > p * m}
 
@@ -646,13 +642,11 @@ class MajorityIndex:
             mode, out = "single", {cover.colour: 1}
         elif cover.min_leaf.coord == a and cover.max_leaf.coord == b:
             if cover.cand is not None:
-                out = {}
-                for cid in cover.cand:
-                    pc = self.per_colour.get(cid)
-                    f = pc.count_range(a, b) if pc is not None else 0
-                    if q * f > p * m:
-                        out[cid] = f
+                # m is cover's weight. Tracked counts are exact, and every
+                # alpha-majority of the node is a beta-majority, which the
+                # list tracks: the list alone answers.
                 mode = "listed"
+                out = {c: n for c, n in cover.cand.items() if q * n > p * m}
             else:
                 mode, out = "pruned", self.scan_pruned(cover, a, b, m)
         else:
@@ -780,13 +774,18 @@ class MajorityIndex:
                                 k_store, counts.items(), key=lambda kv: (-kv[1], kv[0])
                             )
                         )
-                        assert v.cand == expect, "fresh list differs from exact recount"
+                        assert list(v.cand.items()) == list(expect.items()), (
+                            "fresh list differs from exact recount"
+                        )
             else:
                 assert v.weight <= self.prune_cutoff
             return w, v.min_leaf, v.max_leaf, counts
 
         w, _, _, _ = walk(self.root)
         assert w == len(self.F)
+        assert list(self.F.items()) == [(lf.coord, lf.colour) for lf in self.leaves()], (
+            "colour column out of step with the leaves"
+        )
         assert sum(len(pc) for pc in self.per_colour.values()) == len(self.F)
         if self._manage_registry:
             self.registry.audit()

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rangemaj.counted_set import CountedOrderedSet
+from rangemaj.counted_set import MERGE_BELOW, SPLIT_AT, TARGET_BLOCK, CountedOrderedSet
 
 
 # A single-parameter fixture, so that each test keeps its ``[pure-object]``
@@ -269,3 +269,128 @@ def test_object_keys_pure():
     assert cs.count_range((1.0, 0), (3.0, 0)) == 3
     assert cs.successor((2.6, 0)) == (3.0, 0)
     assert cs.predecessor((3.0, 99)) == (3.0, 1)
+
+
+# ---- the column: one value per key, in step with the key blocks ----
+
+
+def value_of(k):
+    return -3 * k - 1
+
+
+def column_set(keys):
+    cs = CountedOrderedSet()
+    cs.load_sorted([], [])
+    for k in keys:
+        assert cs.insert(k, lambda k=k: value_of(k)) == value_of(k)
+    return cs
+
+
+def assert_aligned(cs, keys):
+    """Every key carries its own value, in key order, however the
+    blocks were split or merged."""
+    keys = sorted(keys)
+    cs.audit()
+    assert list(cs.items()) == [(k, value_of(k)) for k in keys]
+    if keys:
+        assert cs.values_from(keys[0], len(keys)) == [value_of(k) for k in keys]
+        assert cs.values_from(keys[0] - 1, 0) == []
+
+
+def test_column_split_at_split_at():
+    keys = list(range(SPLIT_AT - 1))
+    cs = column_set(keys)
+    assert len(cs._blocks) == 1
+    cs.insert(SPLIT_AT - 1, lambda: value_of(SPLIT_AT - 1))
+    keys.append(SPLIT_AT - 1)
+    assert len(cs._blocks) == 2
+    assert_aligned(cs, keys)
+    # a range across the split point takes a slice of each block
+    mid = cs._blocks[1][0]
+    assert cs.values_from(mid - 3, 6) == [value_of(k) for k in range(mid - 3, mid + 3)]
+
+
+def test_column_merge_below_merge_below():
+    keys = list(range(2 * TARGET_BLOCK))
+    cs = CountedOrderedSet()
+    cs.load_sorted(keys, [value_of(k) for k in keys])
+    assert len(cs._blocks) == 2
+    right = keys[TARGET_BLOCK:]
+    while len(cs._blocks) == 2:
+        k = right.pop()
+        assert cs.delete(k) == value_of(k)
+        keys.remove(k)
+    assert len(cs._blocks[0]) == TARGET_BLOCK + MERGE_BELOW - 1
+    assert_aligned(cs, keys)
+
+
+def test_column_delete_first_key_of_a_block():
+    keys = list(range(0, 4 * TARGET_BLOCK, 2))
+    cs = CountedOrderedSet()
+    cs.load_sorted(keys, [value_of(k) for k in keys])
+    first = cs._blocks[1][0]
+    assert cs.delete(first) == value_of(first)
+    keys.remove(first)
+    assert cs._mins[1] == first + 2
+    assert_aligned(cs, keys)
+    assert cs.values_from(first - 2, 2) == [value_of(first - 2), value_of(first + 2)]
+
+
+def test_column_load_sorted_and_slices():
+    rng = random.Random(21)
+    keys = sorted(rng.sample(range(10_000), 3000))
+    cs = CountedOrderedSet()
+    cs.load_sorted(keys, [value_of(k) for k in keys])
+    assert_aligned(cs, keys)
+    for _ in range(300):
+        # a run of stored keys from the first at or above lo
+        lo = rng.randint(-10, 10_010)
+        after = [value_of(k) for k in keys if k >= lo]
+        count = rng.randint(0, len(after))
+        assert cs.values_from(lo, count) == after[:count]
+    with pytest.raises(ValueError):
+        cs.load_sorted([1, 2], [5])
+
+
+def test_column_insert_reports_present_key_without_making_a_value():
+    cs = column_set([4, 9])
+    made = []
+    assert cs.insert(9, lambda: made.append(1)) is None
+    assert made == []
+    assert len(cs) == 2
+    with pytest.raises(KeyError):
+        cs.delete(5)
+    assert_aligned(cs, [4, 9])
+    # a value is given exactly when the set has a column
+    with pytest.raises(ValueError):
+        cs.insert(5)
+    plain = CountedOrderedSet()
+    plain.insert(1)
+    with pytest.raises(ValueError):
+        plain.insert(2, lambda: 0)
+
+
+def test_column_map_values():
+    keys = list(range(0, 900, 3))
+    cs = column_set(keys)
+    cs.map_values(lambda v: -v)
+    assert list(cs.items()) == [(k, -value_of(k)) for k in keys]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.booleans(), st.integers(0, 700)), max_size=1500))
+def test_column_property_vs_dict(ops):
+    cs = CountedOrderedSet()
+    cs.load_sorted([], [])
+    ref: dict = {}
+    for ins, k in ops:
+        if ins:
+            got = cs.insert(k, lambda k=k: value_of(k))
+            assert got == (None if k in ref else value_of(k))
+            ref[k] = value_of(k)
+        elif k in ref:
+            assert cs.delete(k) == ref.pop(k)
+        else:
+            with pytest.raises(KeyError):
+                cs.delete(k)
+    assert_aligned(cs, ref)

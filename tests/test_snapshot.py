@@ -87,3 +87,25 @@ def test_empty_file_rejected(tmp_path):
     path.write_text("", encoding="utf-8")
     with pytest.raises(SnapshotError, match="empty"):
         snapshot.load(str(path))
+
+
+def test_failed_save_leaves_old_snapshot_intact(tmp_path, monkeypatch):
+    path = tmp_path / "s.jsonl"
+    idx = MajorityIndex.build([(i, "c%d" % (i % 3)) for i in range(200)], Fraction(1, 4))
+    snapshot.save(idx, str(path), "int")
+    before = path.read_bytes()
+
+    # a record that cannot be serialised, well after the header
+    bad = [(i, 1) for i in range(100)] + [(object(), 1)]
+    monkeypatch.setattr(type(idx.F), "items", lambda self: iter(bad))
+    with pytest.raises(TypeError):
+        snapshot.save(idx, str(path), "int")
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.jsonl"]
+    monkeypatch.undo()
+
+    idx.insert(1000, "new")
+    snapshot.save(idx, str(path), "int")
+    back, _ = snapshot.load(str(path))
+    assert len(back) == 201
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.jsonl"]

@@ -126,6 +126,43 @@ class TestUpdates:
         idx.insert(3, "y")
         assert idx.query(0, 10) == {"y"}
 
+    def test_duplicate_insert_leaves_registry_untouched(self):
+        # the duplicate is found before the colour is interned
+        idx = small_index()
+        reg = idx.registry
+        before = (reg.capacity, reg.live_count, reg.refcount(reg.id_of("r")))
+        for label in ("brand-new", "r"):
+            with pytest.raises(DuplicateKeyError):
+                idx.insert(3, label)
+        assert (reg.capacity, reg.live_count, reg.refcount(reg.id_of("r"))) == before
+        assert reg.id_of("brand-new") is None
+        idx.audit_tree(deep=True)
+
+    def test_updates_probe_f_once(self, monkeypatch):
+        idx = MajorityIndex.build([(i, "c%d" % (i % 5)) for i in range(300)], "1/4")
+        calls = []
+        cls = type(idx.F)
+        for name in ("count_range", "__contains__", "rank_lt", "rank_le", "insert", "delete"):
+            orig = getattr(cls, name)
+
+            def spy(self, *args, _orig=orig, _name=name):
+                if self is idx.F:
+                    calls.append(_name)
+                return _orig(self, *args)
+
+            monkeypatch.setattr(cls, name, spy)
+        idx.insert(1000, "c1")
+        assert calls == ["insert"]
+        calls.clear()
+        idx.delete(1000)
+        assert calls == ["delete"]
+        calls.clear()
+        with pytest.raises(DuplicateKeyError):
+            idx.insert(5, "c2")
+        with pytest.raises(KeyError):
+            idx.delete(1000)
+        assert calls == ["insert", "delete"]
+
     def test_coordinate_validation_int(self):
         idx = MajorityIndex("1/2", "int")
         with pytest.raises(ValueError):
@@ -166,6 +203,19 @@ class TestCandidateLists:
         assert node.cand[mid] == 3
         ranked = sorted(node.cand.items(), key=lambda kv: -kv[1])[:2]
         assert [cid for cid, _ in ranked] == [heavy, mid]
+
+    def test_list_ties_keep_smallest_ids_in_order(self):
+        # 60 colours twice each, more than the 41 a list keeps: ties are
+        # cut by id, not by where a colour first appears. Inserting in
+        # descending coordinate order gives the largest ids to the
+        # leftmost colours.
+        idx = MajorityIndex("1/2")
+        for x in reversed(range(120)):
+            idx.insert(x, "c%d" % (x % 60))
+        idx.rebuild_list(idx.root)
+        k = idx.cfg.list_size
+        assert list(idx.root.cand.items()) == [(cid, 2) for cid in range(1, k + 1)]
+        idx.audit_tree(deep=True)
 
     def test_single_colour_list(self):
         idx = MajorityIndex.build([(i, "only") for i in range(200)], "1/2")
@@ -227,6 +277,45 @@ class TestQueryPaths:
         assert got == {}  # 256 of 512 is exactly half, strictness excludes it
         idx.delete(0)
         assert idx.query(0, 511) == {"maj"}
+
+    def test_listed_exact_cover_reads_the_list_only(self, monkeypatch):
+        # churned first, so the lists answering are stale
+        rng = random.Random(31)
+        xs = rng.sample(range(200_000), 20_000)
+        colour = {x: "c%d" % min(int(rng.paretovariate(1.2)), 60) for x in xs}
+        idx = MajorityIndex.build(colour.items(), "1/10")
+        for _ in range(3000):
+            x = rng.choice(xs)
+            idx.delete(x)
+            colour[x] = "c%d" % min(int(rng.paretovariate(1.2)), 60)
+            idx.insert(x, colour[x])
+        idx.audit_tree(deep=True)
+        verified = []
+        cls = type(idx.F)
+        orig = cls.count_range
+
+        def spy(self, lo, hi):
+            if self is not idx.F:
+                verified.append(self)
+            return orig(self, lo, hi)
+
+        monkeypatch.setattr(cls, "count_range", spy)
+        idx.capture_debug = True
+        nodes = [v for v in idx.internal_nodes() if v.cand is not None]
+        assert any(v.staleness for v in nodes)
+        reported = 0
+        for v in nodes:
+            a, b = v.min_leaf.coord, v.max_leaf.coord
+            got = idx.query_counts(a, b)
+            assert idx.last_query_debug["mode"] == "listed"
+            counts: dict = {}
+            for x, lab in colour.items():
+                if a <= x <= b:
+                    counts[lab] = counts.get(lab, 0) + 1
+            assert got == {lab: f for lab, f in counts.items() if 10 * f > v.weight}
+            reported += len(got)
+        assert reported
+        assert verified == []
 
     def test_general_path_matches_oracle(self):
         rng = random.Random(12)
