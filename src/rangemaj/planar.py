@@ -1,14 +1,34 @@
 """Planar range alpha-majority queries over axis-aligned rectangles.
 
 A weight-balanced binary tree over x-coordinates (scapegoat rebuilds at
-a 0.7 child ratio) whose internal nodes each carry a full 1-D majority
-index over the y-coordinates of their x-span, keyed by (y, x) so keys
-stay distinct. A rectangle query splits [x_lo, x_hi] into O(lg n)
-canonical x-pieces, runs the 1-D candidate collection of each piece
-into one shared tally, which also yields the rectangle's point count,
-filters once globally at a quarter of the reporting threshold, and
-verifies survivors with exact per-colour rectangle counts drawn from
-the same sub-index counting sets.
+a 0.7 child ratio). Every internal x-node answers for the points of its
+x-span in (y, x) order, in one of two forms:
+
+- A light node keeps three parallel lists in (y, x) order: ``ys``,
+  ``xs`` and the colour ids ``cols``. A rectangle piece on it is two
+  ``bisect`` calls on ``ys`` and a slice of ``cols``.
+- A heavy node carries a full 1-D majority index ``sub`` over keys
+  (y, x), which stay distinct, with its candidate lists and per-colour
+  counting sets.
+
+The light cutoff L is ``LIGHT_LISTS`` candidate lists' worth of points.
+A node is built light when its weight is at most L. A light node turns
+heavy once its weight exceeds 2L, and a heavy node turns light once its
+weight falls to L/2, so every conversion is paid for by Omega(L)
+updates. A light piece thus counts O(L) = O(1/alpha) ids, keeping the
+paper's per-piece bound, and only the top levels of the tree hold
+sub-indexes. ``LIGHT_LISTS`` is large because a slice count in C stays
+cheaper than a sub-index's candidate collection in Python up to weights
+in the thousands. Builds go bottom-up: a node's (y, x)-sorted records
+are its children's records merged.
+
+A rectangle query splits [x_lo, x_hi] into O(lg n) canonical x-pieces.
+The slices of all light pieces and the leaf pieces are counted exactly,
+in one count in C; each heavy piece adds the 1-D candidate tallies of
+its sub-index. The sum, which also yields the rectangle's point count,
+is filtered once globally at a quarter of the reporting threshold, and
+each survivor is verified by its exact count plus its per-colour counts
+in the heavy pieces.
 
 x-coordinates are pairwise distinct (the 1-D index's rule, lifted);
 y-coordinates may repeat freely.
@@ -17,6 +37,8 @@ y-coordinates may repeat freely.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
+from collections import Counter
 
 from .errors import DuplicateKeyError
 from .params import AlphaConfig
@@ -24,10 +46,7 @@ from .registry import ColourRegistry, ScratchCounters
 from .tree import MajorityIndex
 
 RATIO_NUM, RATIO_DEN = 7, 10  # scapegoat trigger: child weight > 0.7 * node weight
-
-
-def _ykey(y, x):
-    return (y, x)
+LIGHT_LISTS = 16  # light cutoff L = LIGHT_LISTS * list_size points
 
 
 def _ylo_key(ylo):
@@ -43,7 +62,6 @@ class _XLeaf:
     weight = 1
     left = None
     right = None
-    sub = None
 
     def __init__(self, x, y, cid, label):
         self.x = x
@@ -62,16 +80,27 @@ class _XLeaf:
 
 
 class _XNode:
-    __slots__ = ("left", "right", "parent", "weight", "min_x", "max_x", "sub")
+    # a light node has ys, xs and cols and no sub; a heavy one the reverse
+    __slots__ = (
+        "left", "right", "parent", "weight", "min_x", "max_x", "sub", "ys", "xs", "cols"
+    )
 
-    def __init__(self):
-        self.left = None
-        self.right = None
+    def __init__(self, left, right):
+        self.left = left
+        self.right = right
+        left.parent = right.parent = self
         self.parent = None
-        self.weight = 0
-        self.min_x = None
-        self.max_x = None
+        self.weight = left.weight + right.weight
+        self.min_x = left.min_x
+        self.max_x = right.max_x
         self.sub = None
+        self.ys = self.xs = self.cols = None
+
+
+def _slot(node, y, x):
+    """Index of (y, x) in a light node's lists: where it is or would go."""
+    ys = node.ys
+    return bisect_left(node.xs, x, bisect_left(ys, y), bisect_right(ys, y))
 
 
 class MajorityIndex2D:
@@ -81,12 +110,15 @@ class MajorityIndex2D:
         self.cfg = AlphaConfig.from_alpha(alpha)
         self._ap = self.cfg.alpha.numerator
         self._aq = self.cfg.alpha.denominator
+        self.light_cutoff = LIGHT_LISTS * self.cfg.list_size
         self._shared_registry = registry is not None
         self.registry = registry if registry is not None else ColourRegistry()
         self.scratch = ScratchCounters()
         self.root = None
         self._x_present: set = set()
-        self.stats = {"queries": 0, "rebuilds": 0, "rebuild_points": 0}
+        self.stats = {
+            "queries": 0, "rebuilds": 0, "rebuild_points": 0, "to_heavy": 0, "to_light": 0
+        }
 
     def __len__(self) -> int:
         return len(self._x_present)
@@ -129,36 +161,61 @@ class MajorityIndex2D:
         leaves = [
             _XLeaf(x, y, self.registry.intern(label), label) for x, y, label in recs
         ]
-        self.root = self._build_span(leaves)
+        if leaves:
+            self.root = self._build_span(leaves)[0]
         return self
 
     def _build_span(self, leaves):
-        if not leaves:
-            return None
+        """Subtree over leaves, which are in x order, and its (y, x, cid)
+        records in (y, x) order."""
         if len(leaves) == 1:
-            leaves[0].parent = None
-            return leaves[0]
-        node = self._fresh_internal(leaves)
+            lf = leaves[0]
+            lf.parent = None
+            return lf, [(lf.y, lf.x, lf.cid)]
         mid = len(leaves) // 2
-        node.left = self._build_span(leaves[:mid])
-        node.right = self._build_span(leaves[mid:])
-        node.left.parent = node
-        node.right.parent = node
+        left, lrecs = self._build_span(leaves[:mid])
+        right, rrecs = self._build_span(leaves[mid:])
+        recs = sorted(lrecs + rrecs)  # Timsort merges the two runs in linear time
+        return self._join(left, right, recs), recs
+
+    def _join(self, left, right, recs):
+        """Internal node over adjacent subtrees whose points are recs."""
+        node = _XNode(left, right)
+        intern, label_of = self.registry.intern, self.registry.label_of
+        if node.weight > self.light_cutoff:
+            node.sub = self._sub_index([((y, x), label_of(c)) for y, x, c in recs])
+        else:
+            node.ys = [r[0] for r in recs]
+            node.xs = [r[1] for r in recs]
+            node.cols = [r[2] for r in recs]
+            for c in node.cols:  # the node's hold on each point's colour
+                intern(label_of(c))
         return node
 
-    def _fresh_internal(self, leaves):
-        node = _XNode()
-        node.weight = len(leaves)
-        node.min_x = leaves[0].x
-        node.max_x = leaves[-1].x
-        node.sub = MajorityIndex.build(
-            [(_ykey(l.y, l.x), l.label) for l in leaves],
-            self.cfg.alpha,
-            "object",
-            registry=self.registry,
-            manage_registry=False,
+    def _sub_index(self, points):
+        # interns each point's colour once: the node's hold on it
+        return MajorityIndex.build(
+            points, self.cfg.alpha, "object", registry=self.registry, manage_registry=False
         )
-        return node
+
+    def _to_heavy(self, node) -> None:
+        label_of = self.registry.label_of
+        node.sub = self._sub_index(
+            [((y, x), label_of(c)) for y, x, c in zip(node.ys, node.xs, node.cols)]
+        )
+        for c in node.cols:  # the sub-index holds its own
+            self.registry.release(c)
+        node.ys = node.xs = node.cols = None
+        self.stats["to_heavy"] += 1
+
+    def _to_light(self, node) -> None:
+        # the lists take over the sub-index's holds, one per point
+        keys, cols = zip(*node.sub.F.items())
+        node.ys = [k[0] for k in keys]
+        node.xs = [k[1] for k in keys]
+        node.cols = list(cols)
+        node.sub = None
+        self.stats["to_light"] += 1
 
     # ---- updates ----
 
@@ -175,10 +232,19 @@ class MajorityIndex2D:
             return
         cur = self.root
         path = []
+        heavy_at = 2 * self.light_cutoff
         while cur.weight > 1:
             path.append(cur)
-            cur.sub.insert(_ykey(y, x), label)
             cur.weight += 1
+            if cur.sub is None:
+                i = _slot(cur, y, x)
+                cur.ys.insert(i, y)
+                cur.xs.insert(i, x)
+                cur.cols.insert(i, self.registry.intern(label))
+                if cur.weight > heavy_at:
+                    self._to_heavy(cur)
+            else:
+                cur.sub.insert((y, x), label)
             if x < cur.min_x:
                 cur.min_x = x
             if x > cur.max_x:
@@ -186,10 +252,8 @@ class MajorityIndex2D:
             cur = cur.left if x < cur.left.max_x else cur.right
         # cur is a leaf: pair it with the new one under a fresh internal
         first, second = (cur, leaf) if cur.x < x else (leaf, cur)
-        join = self._fresh_internal((first, second))
-        join.left, join.right = first, second
-        first.parent = second.parent = join
         parent = path[-1] if path else None
+        join = self._join(first, second, sorted([(cur.y, cur.x, cur.cid), (y, x, cid)]))
         join.parent = parent
         if parent is None:
             self.root = join
@@ -208,9 +272,17 @@ class MajorityIndex2D:
         while cur.weight > 1:
             path.append(cur)
             cur = cur.left if x <= cur.left.max_x else cur.right
+        y = cur.y
         for node in path:
-            node.sub.delete(_ykey(cur.y, x))
             node.weight -= 1
+            if node.sub is None:
+                i = _slot(node, y, x)
+                del node.ys[i], node.xs[i], node.cols[i]
+                self.registry.release(cur.cid)
+            else:
+                node.sub.delete((y, x))
+                if 2 * node.weight <= self.light_cutoff:
+                    self._to_light(node)
         self.registry.release(cur.cid)
         if not path:
             self.root = None
@@ -225,9 +297,9 @@ class MajorityIndex2D:
             grand.left = sibling
         else:
             grand.right = sibling
-        for lf in dying.sub.leaves():
-            # the collapsed node's remaining hold on its sibling's point
-            self.registry.release(lf.colour)
+        # the collapsed node, light at weight 1, still holds its sibling's point
+        for c in dying.cols:
+            self.registry.release(c)
         for node in reversed(path):
             node.min_x = node.left.min_x
             node.max_x = node.right.max_x
@@ -249,7 +321,7 @@ class MajorityIndex2D:
         leaves: list = []
         self._gather_ordered(node, leaves)
         self._release_subtree_holds(node)
-        fresh = self._build_span(leaves)
+        fresh = self._build_span(leaves)[0]
         parent = node.parent
         fresh.parent = parent
         if parent is None:
@@ -278,14 +350,16 @@ class MajorityIndex2D:
             yield lf.x, lf.y, lf.label
 
     def _release_subtree_holds(self, node) -> None:
-        # every internal node's sub holds one registry ref per point
+        # every internal node holds one registry ref per point
+        release = self.registry.release
         stack = [node]
         while stack:
             v = stack.pop()
             if v.weight == 1:
                 continue
-            for lf in v.sub.leaves():
-                self.registry.release(lf.colour)
+            # the node's colour column: its lists, or its sub-index's F
+            for c in v.cols if v.sub is None else [c for _, c in v.sub.F.items()]:
+                release(c)
             stack.append(v.left)
             stack.append(v.right)
 
@@ -316,6 +390,8 @@ class MajorityIndex2D:
         for v in self._pieces(xlo, xhi):
             if v.weight == 1:
                 m += 1 if ylo <= v.y <= yhi else 0
+            elif v.sub is None:
+                m += bisect_right(v.ys, yhi) - bisect_left(v.ys, ylo)
             else:
                 m += v.sub.F.count_range(lo, hi)
         return m
@@ -334,6 +410,9 @@ class MajorityIndex2D:
             if v.weight == 1:
                 if v.cid == cid and ylo <= v.y <= yhi:
                     f += 1
+            elif v.sub is None:
+                ys = v.ys
+                f += v.cols[bisect_left(ys, ylo) : bisect_right(ys, yhi)].count(cid)
             else:
                 pc = v.sub.per_colour.get(cid)
                 if pc is not None:
@@ -352,24 +431,31 @@ class MajorityIndex2D:
         self.stats["queries"] += 1
         if self.root is None or xlo > xhi or ylo > yhi:
             return {}
-        pieces = self._pieces(xlo, xhi)
-        lo, hi = _ylo_key(ylo), _yhi_key(yhi)
-        sc = self.scratch
-        m = 0
-        for v in pieces:
+        ids = []  # colour ids of the leaf and light pieces' points
+        heavy = []
+        for v in self._pieces(xlo, xhi):
             if v.weight == 1:
                 if ylo <= v.y <= yhi:
-                    sc.bump(v.cid, 1)
-                    m += 1
+                    ids.append(v.cid)
+            elif v.sub is None:
+                ys = v.ys
+                ids += v.cols[bisect_left(ys, ylo) : bisect_right(ys, yhi)]
             else:
-                m += v.sub._collect(lo, hi, sc)
+                heavy.append(v)
+        sc = self.scratch
+        m = len(ids)
+        lo, hi = _ylo_key(ylo), _yhi_key(yhi)
+        for v in heavy:
+            m += v.sub._collect(lo, hi, sc)
+        exact = Counter(ids)
+        sc.update(exact)
         p, q = self._ap, self._aq
         survivors = [cid for cid, t in sc.drain().items() if 4 * q * t > p * m]
         # disjoint canonical masses sum to at most m
         assert len(survivors) * p <= 4 * q, "survivor bound exceeded"
         out = {}
         for cid in survivors:
-            f = self._rect_cid_count(cid, pieces, ylo, yhi)
+            f = exact.get(cid, 0) + self._rect_cid_count(cid, heavy, ylo, yhi)
             if q * f > p * m:
                 out[self.registry.label_of(cid)] = f
         return out
@@ -385,6 +471,7 @@ class MajorityIndex2D:
         assert self.root.parent is None
         n = len(self._x_present)
         depth_cap = 2 * max(1, math.ceil(math.log2(max(2, n)))) + 3
+        light = self.light_cutoff
         holds: dict = {}
 
         def walk(v, depth):
@@ -393,10 +480,10 @@ class MajorityIndex2D:
                 self.registry.label_of(v.cid)
                 # one wrapper hold plus one per internal ancestor
                 holds[v.cid] = holds.get(v.cid, 0) + 1 + depth
-                return 1, v.x, v.x, [(v.x, v.y, v.cid)]
+                return 1, v.x, v.x, [(v.y, v.x, v.cid)]
             assert v.left.parent is v and v.right.parent is v
-            lw, lmin, lmax, lpts = walk(v.left, depth + 1)
-            rw, rmin, rmax, rpts = walk(v.right, depth + 1)
+            lw, lmin, lmax, lrecs = walk(v.left, depth + 1)
+            rw, rmin, rmax, rrecs = walk(v.right, depth + 1)
             assert lmax < rmin, "x-order violated"
             w = lw + rw
             assert v.weight == w
@@ -404,16 +491,25 @@ class MajorityIndex2D:
             if w >= 4:
                 assert RATIO_DEN * lw <= RATIO_NUM * w, "left child overweight"
                 assert RATIO_DEN * rw <= RATIO_NUM * w, "right child overweight"
-            pts = lpts + rpts
-            assert len(v.sub) == w, "substructure size drifted from span"
-            v.sub.audit_tree()
-            got = sorted(lf.coord for lf in v.sub.leaves())
-            assert got == sorted((y, x) for x, y, _ in pts)
-            return w, lmin, rmax, pts
+            # the span's (y, x, cid) records in (y, x) order
+            want = sorted(lrecs + rrecs)
+            if v.sub is None:
+                assert w <= 2 * light, f"light node of weight {w} over 2L = {2 * light}"
+                assert len(v.ys) == len(v.xs) == len(v.cols) == w, "light lists off weight"
+                assert list(zip(v.ys, v.xs, v.cols)) == want, (
+                    "light lists out of (y, x) order or off the span"
+                )
+            else:
+                assert 2 * w > light, f"heavy node of weight {w} at or under L/2"
+                assert v.ys is None and v.xs is None and v.cols is None
+                assert len(v.sub) == w, "substructure size drifted from span"
+                v.sub.audit_tree()
+                assert [(k[0], k[1], c) for k, c in v.sub.F.items()] == want
+            return w, lmin, rmax, want
 
-        w, _, _, pts = walk(self.root, 0)
+        w, _, _, recs = walk(self.root, 0)
         assert w == n
-        assert {p[0] for p in pts} == self._x_present
+        assert {r[1] for r in recs} == self._x_present
         for cid, expect in holds.items():
             got = self.registry.refcount(cid)
             if self._shared_registry:

@@ -8,6 +8,7 @@ import pytest
 
 from rangemaj.errors import DuplicateKeyError
 from rangemaj.oracle import NaiveStore2D, naive_majority_2d
+from rangemaj.params import AlphaConfig
 from rangemaj.planar import MajorityIndex2D
 from rangemaj.registry import ColourRegistry
 
@@ -149,6 +150,58 @@ class TestStructure:
             idx.delete(i)
         idx.audit2d()
 
+    def test_audit_rejects_corrupted_light_node(self):
+        rng = random.Random(12)
+        idx, _ = mirrored_pair("1/2", 300, rng)
+        idx.audit2d()
+        node = max(
+            (v for v in self._internal(idx.root) if v.sub is None),
+            key=lambda v: v.weight,
+        )
+        ys, cols = node.ys, node.cols
+        i = next(k for k in range(len(ys) - 1) if ys[k] != ys[k + 1])
+        ys[i], ys[i + 1] = ys[i + 1], ys[i]
+        with pytest.raises(AssertionError):
+            idx.audit2d()
+        ys[i], ys[i + 1] = ys[i + 1], ys[i]
+        idx.audit2d()
+        j = next(k for k in range(len(cols)) if cols[k] != cols[0])
+        was, cols[0] = cols[0], cols[j]
+        with pytest.raises(AssertionError):
+            idx.audit2d()
+        cols[0] = was
+        idx.audit2d()
+
+    def test_sub_indexes_only_in_heavy_nodes(self, monkeypatch):
+        rng = random.Random(5)
+        n = 2000
+        pts = [(x, rng.randrange(500), "c%d" % rng.randrange(9))
+               for x in rng.sample(range(10 * n), n)]
+        made = []
+        real = AlphaConfig.from_alpha.__func__
+
+        def counting(cls, alpha):
+            made.append(alpha)
+            return real(cls, alpha)
+
+        monkeypatch.setattr(AlphaConfig, "from_alpha", classmethod(counting))
+        idx = MajorityIndex2D.build(pts, "1/4")
+        heavy = [v for v in self._internal(idx.root) if v.sub is not None]
+        # one config for the index itself, one per sub-index
+        assert len(made) == 1 + len(heavy) < n // 50
+        assert all(v.weight > idx.light_cutoff for v in heavy)
+        assert all(v.weight <= idx.light_cutoff
+                   for v in self._internal(idx.root) if v.sub is None)
+
+    @staticmethod
+    def _internal(root):
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            if v.weight > 1:
+                yield v
+                stack += (v.left, v.right)
+
     def test_rebuild_work_amortized(self):
         idx = MajorityIndex2D("1/2")
         updates = 0
@@ -265,6 +318,24 @@ class TestMemory:
             tracemalloc.stop()
         assert len(idx) == n
         assert held / n < 10_000, f"{held / n:.0f} bytes per point"
+
+    def test_light_nodes_keep_build_under_4kb_per_point(self):
+        # only the top levels of the x-tree carry a 1-D sub-index; the
+        # rest hold three plain lists per node
+        rng = random.Random(3)
+        n, colours = 2000, 1000
+        pts = [
+            (x, rng.randrange(500), "c%d" % rng.randrange(colours))
+            for x in rng.sample(range(10 * n), n)
+        ]
+        tracemalloc.start()
+        try:
+            idx = MajorityIndex2D.build(pts, "1/4")
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(idx) == n
+        assert held / n < 4_000, f"{held / n:.0f} bytes per point"
 
 
 class TestSharedRegistry:
