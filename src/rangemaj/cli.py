@@ -117,10 +117,8 @@ def _build_object(args):
     alpha = parse_alpha(args.alpha)
     mode = args.mode
     if mode == "array":
-        arr = DynamicColourArray(alpha)
-        for _lineno, _t, c, _y in events:
-            arr.append(c)
-        return arr, alpha
+        colours = (c for _lineno, _t, c, _y in events)
+        return DynamicColourArray.from_colours(colours, alpha), alpha
 
     if mode == "2d":
         pts = []
@@ -244,7 +242,7 @@ def _replay_query(obj, mode: str, rec, lineno: int) -> tuple[dict, int]:
             counts = obj.query_counts(i, j)
         except IndexError as exc:
             raise InputError(f"line {lineno}: {exc}") from None
-        return counts, j - i + 1
+        return counts, max(j - i + 1, 0)
     if mode == "2d":
         try:
             box = (rec["lo"], rec["hi"], rec["ylo"], rec["yhi"])

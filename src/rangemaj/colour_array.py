@@ -3,13 +3,16 @@ alpha-majority queries.
 
 Positions map to strictly increasing integer labels drawn from a 2^62
 universe via density-threshold list labeling: an insert takes the
-midpoint of its neighbour gap, and when the gap is full the smallest
-enclosing aligned window still under its density threshold is re-spread
-evenly. Thresholds fall geometrically with window level and bottom out
-at one half, so the top-level re-spread doubles as the global relabel.
-Every moved key is replayed into the integer majority index as a delete
-plus an insert, and the replayed move count is the exported cost
-measure.
+midpoint of its neighbour gap (a tail append steps at most
+``TAIL_STRIDE`` past the last label), and when the gap is full the
+smallest enclosing aligned window still under its density threshold is
+re-spread evenly. Thresholds fall geometrically with window level and
+bottom out at one half, so the top-level re-spread doubles as the global
+relabel. A re-spread keeps the order of the keys, so the integer
+majority index renames the window's keys in place (``relabel``) and
+sees one insert, for the new slot; the moved-key count is the exported
+cost measure. ``from_colours`` builds an array in one bulk index build
+over evenly spread labels.
 """
 
 from __future__ import annotations
@@ -20,6 +23,10 @@ from .tree import MajorityIndex
 
 BITS = 62
 UNIVERSE = 1 << BITS
+# The furthest a tail append steps past the last label. Halving the gap
+# up to UNIVERSE instead would spend a bit of the universe per append,
+# and a long run of appends would respread over and over.
+TAIL_STRIDE = UNIVERSE >> 20
 
 # Per-level density ceilings. The ratio per level must leave each window
 # real absorption headroom over its children, else hot spots respread on
@@ -34,6 +41,11 @@ def _window_ok(count: int, level: int) -> bool:
     return count * tau.denominator < tau.numerator * (1 << level)
 
 
+def _spread(lo: int, span: int, k: int) -> list[int]:
+    """k labels spread evenly across [lo, lo + span)."""
+    return [lo + (t * span) // (k + 1) for t in range(1, k + 1)]
+
+
 class DynamicColourArray:
     """Array of colours indexed from 1, backed by an integer majority
     index keyed by order-maintenance labels."""
@@ -42,8 +54,19 @@ class DynamicColourArray:
         self.engine = MajorityIndex(alpha, "int")
         self._labels: list[int] = []
         self._colours: list = []
-        self.moves = 0  # keys replayed through the engine by relabels
+        self.moves = 0  # keys relabelled by respreads
         self.ops = 0
+
+    @classmethod
+    def from_colours(cls, colours, alpha) -> DynamicColourArray:
+        """An array holding colours in order, its labels spread evenly
+        over the universe as by a top-level respread, built in one bulk
+        index build."""
+        self = cls(alpha)
+        self._colours = list(colours)
+        self._labels = _spread(0, UNIVERSE, len(self._colours))
+        self.engine = MajorityIndex.build(zip(self._labels, self._colours), alpha, "int")
+        return self
 
     def __len__(self) -> int:
         return len(self._labels)
@@ -54,49 +77,55 @@ class DynamicColourArray:
 
     # ---- label management ----
 
-    def _respread(self, lo: int, level: int, s: int, e: int) -> None:
-        """Evenly relabel positions s..e-1 (the new slot among them,
-        already spliced into the lists) across [lo, lo + 2^level)."""
-        span = 1 << level
+    def _respread(self, lo: int, level: int, s: int, e: int, idx: int) -> int:
+        """Evenly relabel positions s..e-1 across [lo, lo + 2^level),
+        renaming the engine's keys in place; return the label of the new
+        slot idx among them, which the engine does not hold yet."""
         k = e - s
-        assert k < span
-        for t in range(s, e):
-            old = self._labels[t]
-            if old is not None:
-                self.engine.delete(old)
-        for t in range(s, e):
-            fresh = lo + ((t - s + 1) * span) // (k + 1)
-            self._labels[t] = fresh
-            self.engine.insert(fresh, self._colours[t])
+        assert k < 1 << level
+        labels = self._labels
+        fresh = _spread(lo, 1 << level, k)
+        slot = idx - s
+        old = labels[s:idx] + labels[idx + 1 : e]
+        labels[s:e] = fresh
+        self.engine.relabel(old, fresh[:slot] + fresh[slot + 1 :])
         self.moves += k - 1  # the new slot's first labeling is not a move
+        return fresh[slot]
 
     def _assign(self, idx: int, colour) -> None:
-        """Label the already-spliced slot at list index idx."""
-        left = self._labels[idx - 1] if idx > 0 else -1
-        right = self._labels[idx + 1] if idx + 1 < len(self._labels) else UNIVERSE
-        if right - left >= 2:
-            label = left + (right - left) // 2
-            self._labels[idx] = label
-            self.engine.insert(label, colour)
-            return
-        # crowded: find the smallest aligned window around the anchor
-        # that stays under its density threshold once the new slot joins
-        anchor = left if idx > 0 else right
+        """Label the already-spliced slot at list index idx and insert it
+        into the engine."""
         labels = self._labels
         n = len(labels)
+        left = labels[idx - 1] if idx > 0 else -1
+        right = labels[idx + 1] if idx + 1 < n else UNIVERSE
+        step = (right - left) // 2
+        if 0 < idx == n - 1:  # a tail append
+            step = min(step, TAIL_STRIDE)
+        if step:
+            label = left + step
+        else:
+            label = self._crowded(idx)
+        labels[idx] = label
+        self.engine.insert(label, colour)
+
+    def _crowded(self, idx: int) -> int:
+        # find the smallest aligned window around the anchor that stays
+        # under its density threshold once the new slot joins
+        labels = self._labels
+        n = len(labels)
+        anchor = labels[idx - 1] if idx > 0 else labels[idx + 1]
         for level in range(_FLOOR_LEVEL, BITS + 1):
-            span = 1 << level
             lo = (anchor >> level) << level
-            hi = lo + span
+            hi = lo + (1 << level)
             s = idx
-            while s > 0 and labels[s - 1] is not None and labels[s - 1] >= lo:
+            while s > 0 and labels[s - 1] >= lo:
                 s -= 1
             e = idx + 1
-            while e < n and labels[e] is not None and labels[e] < hi:
+            while e < n and labels[e] < hi:
                 e += 1
             if _window_ok(e - s, level):
-                self._respread(lo, level, s, e)
-                return
+                return self._respread(lo, level, s, e, idx)
         raise OverflowError("label universe exhausted")
 
     # ---- operations ----
@@ -141,11 +170,12 @@ class DynamicColourArray:
         return set(self.query_counts(i, j))
 
     def query_counts(self, i: int, j: int) -> dict:
-        """Strict alpha-majorities of A[i..j] with exact counts."""
+        """Strict alpha-majorities of A[i..j] with exact counts; {} when
+        i > j."""
         self._check_pos(i, len(self._labels))
         self._check_pos(j, len(self._labels))
         if i > j:
-            raise IndexError(f"empty position range [{i}, {j}]")
+            return {}
         return self.engine.query_counts(self._labels[i - 1], self._labels[j - 1])
 
     # ---- audits ----

@@ -236,6 +236,35 @@ class CountedOrderedSet:
             out += vals[i][: count - len(out)]
         return out
 
+    def replace_run(self, key, keys) -> None:
+        """Overwrite the len(keys) stored keys from the first one at or
+        above key with keys, in place; block sizes, the Fenwick tree and
+        the column stay as they are.
+
+        The caller keeps the order: keys is sorted, and no stored key
+        outside the run falls between its old and its new keys.
+        """
+        blocks, mins = self._blocks, self._mins
+        i = bisect_left(mins, key) - 1
+        if i < 0:
+            i, pos = 0, 0
+        else:
+            pos = bisect_left(blocks[i], key)
+        done, count = 0, len(keys)
+        while done < count:
+            block = blocks[i]
+            take = min(len(block) - pos, count - done)
+            block[pos : pos + take] = keys[done : done + take]
+            if pos == 0:
+                mins[i] = block[0]
+            done += take
+            i += 1
+            pos = 0
+
+    def __iter__(self):
+        """Stored keys in order."""
+        return chain.from_iterable(self._blocks)
+
     def items(self):
         """Iterator over the (key, value) pairs of a set with a column,
         in key order."""

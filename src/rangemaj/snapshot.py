@@ -126,10 +126,8 @@ def load(path):
         raise SnapshotError(f"header promises {want} records, found {len(rows)}")
 
     if mode == "array":
-        arr = DynamicColourArray(alpha)
-        for _, rec in rows:
-            arr.append(str(rec["c"]))
-        return arr, mode
+        colours = (str(rec["c"]) for _, rec in rows)
+        return DynamicColourArray.from_colours(colours, alpha), mode
 
     if mode == "2d":
         pts = []

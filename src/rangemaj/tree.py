@@ -494,6 +494,57 @@ class MajorityIndex:
             if mapping:
                 self._apply_remap(mapping)
 
+    def relabel(self, old_keys, new_keys) -> None:
+        """Rename the stored keys old_keys to new_keys in place.
+
+        Both are sorted and of one length, old_keys are consecutive in F,
+        and no other stored key falls between an old key and its new one.
+        The order of the points is then unchanged, and with it the tree
+        shape, every node's weight, colours, list and staleness: only the
+        keys in F, in the per-colour sets and on the leaves are rewritten.
+        """
+        k = len(old_keys)
+        if k != len(new_keys):
+            raise ValueError("relabel needs one new key per old key")
+        if not k:
+            return
+        first = old_keys[0]
+        runs: dict = {}  # colour id -> (its first old key, its new keys)
+        for cid, old, new in zip(self.F.values_from(first, k), old_keys, new_keys):
+            run = runs.get(cid)
+            if run is None:
+                runs[cid] = (old, [new])
+            else:
+                run[1].append(new)
+        self.F.replace_run(first, new_keys)
+        for cid, (start, keys) in runs.items():
+            self.per_colour[cid].replace_run(start, keys)
+        for key, leaf in zip(new_keys, self._leaves_from(first)):
+            leaf.coord = key
+
+    def _leaves_from(self, x):
+        """Leaves from the first one at or above x on, in order: one
+        descent, then a walk that reads no coordinate."""
+        path = []
+        v = self.root
+        while v.height:
+            kids = v.children
+            i = 0
+            while i + 1 < len(kids) and kids[i].max_leaf.coord < x:
+                i += 1
+            path.append((kids, i + 1))
+            v = kids[i]
+        yield v
+        while path:
+            kids, i = path.pop()
+            if i < len(kids):
+                path.append((kids, i + 1))
+                v = kids[i]
+                while v.height:
+                    path.append((v.children, 1))
+                    v = v.children[0]
+                yield v
+
     def _apply_remap(self, mapping) -> None:
         self.per_colour = {mapping[c]: pc for c, pc in self.per_colour.items()}
         self.F.map_values(mapping.__getitem__)
@@ -786,7 +837,16 @@ class MajorityIndex:
         assert list(self.F.items()) == [(lf.coord, lf.colour) for lf in self.leaves()], (
             "colour column out of step with the leaves"
         )
-        assert sum(len(pc) for pc in self.per_colour.values()) == len(self.F)
+        by_colour: dict = {}
+        for x, cid in self.F.items():
+            by_colour.setdefault(cid, []).append(x)
+        assert {c: list(pc) for c, pc in self.per_colour.items()} == by_colour, (
+            "per-colour sets out of step with the leaves"
+        )
+        if deep:
+            self.F.audit()
+            for pc in self.per_colour.values():
+                pc.audit()
         if self._manage_registry:
             self.registry.audit()
             assert self.registry.capacity <= 2 * len(self.F)

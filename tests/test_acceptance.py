@@ -325,7 +325,7 @@ def test_criterion_9_dynamic_array():
     verdict(9, ok,
             f"{total} positional ops (5000 adversarial midpoints), "
             f"{queries} queries exact vs naive array, {audits + 1} label "
-            f"monotonicity audits, {arr.moves} replayed moves within bound")
+            f"monotonicity audits, {arr.moves} relabelled moves within bound")
 
 
 def test_criterion_10_scaling_smoke():

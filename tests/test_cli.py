@@ -256,6 +256,26 @@ class TestArrayMode:
         rc, _, _ = run_cli(capsys, "query", "--snapshot", snap, "1", "9")
         assert rc == 2
 
+    def test_reversed_array_range_is_empty(self, capsys, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_text("0,r\n0,b\n0,r\n", encoding="utf-8")
+        snap = str(tmp_path / "s.jsonl")
+        rc, _, _ = run_cli(capsys, "build", "--input", str(path), "--mode", "array",
+                           "--snapshot", snap)
+        assert rc == 0
+        rc, out, err = run_cli(capsys, "query", "--snapshot", snap, "3", "1")
+        assert rc == 0 and out == "" and err == ""
+        stream = tmp_path / "st.jsonl"
+        recs = [{"op": "insert", "c": c} for c in "rbr"]
+        recs.append({"op": "query", "lo": 3, "hi": 1, "expect": {}})
+        stream.write_text("".join(json.dumps(r) + "\n" for r in recs), encoding="utf-8")
+        rc, out, _ = run_cli(capsys, "replay", "--input", str(stream),
+                             "--alpha", "1/2", "--mode", "array")
+        assert rc == 0
+        rec = jlines(out)[0]
+        jsonschema.validate(rec, REPLAY_SCHEMA)
+        assert rec["result"] == {} and rec["m"] == 0 and rec["ok"] is True
+
 
 class TestReplay:
     def test_embedded_expect_passes(self, capsys, tmp_path):

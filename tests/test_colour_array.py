@@ -8,12 +8,18 @@ from fractions import Fraction
 import pytest
 
 from rangemaj.colour_array import UNIVERSE, DynamicColourArray
+from rangemaj.planar import MajorityIndex2D
+from rangemaj.tree import MajorityIndex
 
 
 def naive_majorities(items, alpha):
+    return set(naive_counts(items, alpha))
+
+
+def naive_counts(items, alpha):
     m = len(items)
     p, q = alpha.numerator, alpha.denominator
-    return {c for c, cnt in Counter(items).items() if cnt * q > p * m}
+    return {c: cnt for c, cnt in Counter(items).items() if cnt * q > p * m}
 
 
 class TestExamples:
@@ -85,12 +91,31 @@ class TestBounds:
         with pytest.raises(IndexError):
             arr.query(2, 2)
 
-    def test_reversed_range_rejected(self):
+    def test_reversed_range_empty(self):
+        # i > j inside the array is an empty range; only positions out of
+        # range raise
         arr = DynamicColourArray(Fraction(1, 2))
         arr.append("r")
         arr.append("b")
+        assert arr.query_counts(2, 1) == {}
+        assert arr.query(2, 1) == set()
         with pytest.raises(IndexError):
-            arr.query(2, 1)
+            arr.query(3, 1)
+        with pytest.raises(IndexError):
+            arr.query(2, 0)
+
+    def test_reversed_range_contract_all_variants(self):
+        # one contract: a reversed range is empty in every variant
+        line = MajorityIndex.build([(x, "r") for x in range(1, 6)], Fraction(1, 2))
+        assert line.query_counts(4, 2) == {}
+        plane = MajorityIndex2D.build(
+            [(x, (3 * x) % 5, "r") for x in range(5)], Fraction(1, 2)
+        )
+        assert plane.query_counts(3, 1, 0, 4) == {}
+        assert plane.query_counts(0, 4, 3, 1) == {}
+        arr = DynamicColourArray.from_colours("rrrrr", Fraction(1, 2))
+        assert arr.query_counts(4, 2) == {}
+        assert arr.query_counts(2, 4) == {"r": 3}
 
     def test_non_int_positions_rejected(self):
         arr = DynamicColourArray(Fraction(1, 2))
@@ -163,6 +188,36 @@ class TestLabeling:
             arr.insert(1, "y")
         assert 0 <= arr._labels[0] and arr._labels[-1] < UNIVERSE
         arr.audit()
+
+
+class TestBulkBuild:
+    @pytest.mark.parametrize("n", [0, 1, 7, 600])
+    def test_from_colours_answers_like_appends(self, n):
+        rng = random.Random(n)
+        colours = ["c%d" % min(rng.getrandbits(3), rng.getrandbits(3)) for _ in range(n)]
+        alpha = Fraction(1, 4)
+        bulk = DynamicColourArray.from_colours(colours, alpha)
+        grown = DynamicColourArray(alpha)
+        for c in colours:
+            grown.append(c)
+        bulk.audit(deep=True)
+        assert len(bulk) == n and bulk.moves == 0
+        assert [bulk.get(i) for i in range(1, n + 1)] == colours
+        for i in range(1, n + 1):
+            for j in range(i, n + 1, max(1, n // 40)):
+                assert bulk.query_counts(i, j) == grown.query_counts(i, j), (i, j)
+
+    def test_from_colours_then_edits(self):
+        rng = random.Random(5)
+        mirror = ["c%d" % rng.randrange(4) for _ in range(300)]
+        arr = DynamicColourArray.from_colours(mirror, Fraction(1, 3))
+        for t in range(600):
+            i = rng.randrange(1, len(mirror) + 2) if t % 2 else len(mirror) + 1
+            arr.insert(i, "x")
+            mirror.insert(i - 1, "x")
+        arr.audit(deep=True)
+        assert [arr.get(i) for i in range(1, len(mirror) + 1)] == mirror
+        assert arr.query_counts(1, len(mirror)) == naive_counts(mirror, Fraction(1, 3))
 
 
 class TestOracleEquivalence:

@@ -394,3 +394,92 @@ def test_column_property_vs_dict(ops):
             with pytest.raises(KeyError):
                 cs.delete(k)
     assert_aligned(cs, ref)
+
+
+# ---- replace_run: keys renamed in place, order kept ----
+
+
+def spaced_set(with_column):
+    """Keys 0, 10, 20, ... over four full blocks."""
+    keys = list(range(0, 40 * TARGET_BLOCK, 10))
+    cs = CountedOrderedSet()
+    cs.load_sorted(keys, [value_of(k) for k in keys] if with_column else None)
+    assert len(cs._blocks) == 4
+    return cs, keys
+
+
+def check_replaced(cs, keys, with_column):
+    cs.audit()
+    assert list(cs) == keys
+    assert len(cs) == len(keys)
+    if with_column:
+        # values stay with their positions, so a renamed key keeps its value
+        assert [v for _, v in cs.items()] == [
+            value_of(k) for k in range(0, 40 * TARGET_BLOCK, 10)
+        ]
+    for probe in keys[::37]:
+        assert cs.rank_lt(probe) == keys.index(probe)
+        assert probe in cs
+
+
+@pytest.mark.parametrize("with_column", [False, True], ids=["plain", "column"])
+def test_replace_run_across_a_block_boundary(with_column):
+    cs, keys = spaced_set(with_column)
+    start = TARGET_BLOCK - 5  # five keys in block 0, seven in block 1
+    new = [k + 3 for k in keys[start : start + 12]]
+    cs.replace_run(keys[start], new)
+    keys[start : start + 12] = new
+    assert cs._mins[1] == keys[TARGET_BLOCK]
+    check_replaced(cs, keys, with_column)
+
+
+@pytest.mark.parametrize("with_column", [False, True], ids=["plain", "column"])
+@pytest.mark.parametrize("shift", [-4, 4])
+def test_replace_run_from_a_block_first_key(with_column, shift):
+    cs, keys = spaced_set(with_column)
+    for b in (0, 2):
+        start = b * TARGET_BLOCK
+        new = [k + shift for k in keys[start : start + 9]]
+        cs.replace_run(keys[start], new)
+        keys[start : start + 9] = new
+        assert cs._mins[b] == keys[start]  # the block minimum moved with it
+        check_replaced(cs, keys, with_column)
+
+
+def test_replace_run_whole_set_and_below_every_key():
+    cs, keys = spaced_set(True)
+    new = [2 * k - 7 for k in keys]
+    cs.replace_run(-100, new)
+    check_replaced(cs, new, True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(0, 5000), min_size=1, max_size=1200, unique=True),
+    st.data(),
+)
+def test_replace_run_property(keys, data):
+    # any sorted run of new keys strictly between the run's neighbours
+    keys.sort()
+    column = data.draw(st.booleans())
+    cs = CountedOrderedSet()
+    cs.load_sorted(keys, [value_of(k) for k in keys] if column else None)
+    start = data.draw(st.integers(0, len(keys) - 1))
+    count = data.draw(st.integers(1, len(keys) - start))
+    below = keys[start - 1] if start else -10_000
+    above = keys[start + count] if start + count < len(keys) else 10_000
+    new = sorted(data.draw(st.sets(
+        st.integers(below + 1, above - 1), min_size=count, max_size=count
+    )))
+    cs.replace_run(keys[start], new)
+    want = keys[:start] + new + keys[start + count :]
+    cs.audit()
+    assert list(cs) == want
+    if column:
+        assert [v for _, v in cs.items()] == [value_of(k) for k in keys]
+    ref = SortedRef()
+    ref.a = want
+    for probe in data.draw(st.lists(st.integers(-10_001, 10_001), max_size=20)):
+        assert cs.predecessor(probe) == ref.predecessor(probe)
+        assert cs.successor(probe) == ref.successor(probe)
+        assert cs.count_range(probe, probe + 500) == ref.count_range(probe, probe + 500)
