@@ -5,17 +5,19 @@ minima plus a Fenwick tree over block sizes turns every rank query into one
 directory bisect, one Fenwick prefix, and one in-block bisect. Works for any
 totally ordered key type (ints, floats, tuples).
 
-A set may carry a column: one value per key, kept in value blocks parallel
-to the key blocks by the same insert, delete, split, merge and bulk-load
-code. A set with a column holds each key once. The index's point set keeps
-each point's colour id there, so the colours of any key range come out as
-one list of block slices (``values_from``), which ``collections.Counter``
-counts in C. A set gets its column from ``load_sorted(keys, values)``;
-``load_sorted((), ())`` starts an empty one.
+A set may carry a column: one signed 64-bit integer per key, kept in
+``array('q')`` value blocks parallel to the key blocks by the same insert,
+delete, split, merge and bulk-load code. A set with a column holds each
+key once. The index's point set keeps each point's colour id there, so the
+colours of any key range come out as one ``array('q')`` (``values_from``),
+joined from block slices by memory copies, which ``numpy.frombuffer``
+reads without a copy. A set gets its column from ``load_sorted(keys,
+values)``; ``load_sorted((), ())`` starts an empty one.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
 from itertools import chain
 
@@ -29,7 +31,7 @@ class CountedOrderedSet:
 
     def __init__(self):
         self._blocks: list[list] = []
-        self._vals: list[list] | None = None  # value blocks, with a column
+        self._vals: list[array] | None = None  # value blocks, with a column
         self._mins: list = []
         self._fen: list[int] = [0]
         self._size = 0
@@ -67,7 +69,7 @@ class CountedOrderedSet:
     def insert(self, key, make_value=None):
         """Add key.
 
-        With a column, make_value() gives the value stored beside a new
+        With a column, make_value() gives the int stored beside a new
         key and is returned; it is called only once key is known to be
         absent, and a key already stored returns None and changes
         nothing. Without a column the set is a multiset and returns None.
@@ -80,7 +82,7 @@ class CountedOrderedSet:
         if not blocks:
             if vals is not None:
                 value = make_value()
-                vals.append([value])
+                vals.append(array("q", (value,)))
             blocks.append([key])
             self._mins.append(key)
             self._fen = [0, 1]
@@ -221,9 +223,9 @@ class CountedOrderedSet:
 
     # ---- the column ----
 
-    def values_from(self, key, count) -> list:
+    def values_from(self, key, count) -> array:
         """Values of the count stored keys from the first one at or above
-        key, in key order: a slice of each block the run touches."""
+        key, in key order, as one ``array('q')``."""
         i = bisect_left(self._mins, key) - 1
         if i < 0:
             i, start = 0, 0
@@ -272,20 +274,21 @@ class CountedOrderedSet:
 
     def map_values(self, fn) -> None:
         """Replace every value v of the column with fn(v)."""
-        self._vals = [list(map(fn, block)) for block in self._vals]
+        self._vals = [array("q", map(fn, block)) for block in self._vals]
 
     # ---- bulk ----
 
     def load_sorted(self, keys, values=None) -> None:
         """Replace contents with an already-sorted key sequence; with
-        values (one per key, keys distinct), the set carries a column."""
+        values (one int per key, keys distinct), the set carries a
+        column."""
         keys = list(keys)
         spans = range(0, len(keys), TARGET_BLOCK)
         self._blocks = [keys[i : i + TARGET_BLOCK] for i in spans]
         if values is None:
             self._vals = None
         else:
-            values = list(values)
+            values = array("q", values)
             if len(values) != len(keys):
                 raise ValueError("one value per key required")
             self._vals = [values[i : i + TARGET_BLOCK] for i in spans]
@@ -306,5 +309,8 @@ class CountedOrderedSet:
         for k in range(len(self._blocks) + 1):
             assert self._fen_prefix(k) == sum(len(b) for b in self._blocks[:k])
         if self._vals is not None:
+            assert all(type(b) is array and b.typecode == "q" for b in self._vals), (
+                "value block is not an array('q')"
+            )
             assert [len(b) for b in self._vals] == [len(b) for b in self._blocks]
             assert all(a < b for a, b in zip(flat, flat[1:])), "column keys repeat"

@@ -113,7 +113,7 @@ class ColourRegistry:
 class ScratchCounters(Counter):
     """Per-query tally: colour id -> summed count, drain-reset.
 
-    Hot loops add a whole list of colour ids with ``t.update(ids)``, which
+    Hot loops add a whole array of colour ids with ``t.update(ids)``, which
     counts in C, or write ``t[c] = t.get(c, 0) + n`` directly; ``bump`` is
     that single step as a method.
     """

@@ -10,14 +10,16 @@ coordinate per leaf. Heavy nodes carry a short list of their most
 frequent colours with counts, rebuilt lazily on a staleness budget;
 light nodes are scanned directly.
 
-The point set ``F`` carries each point's colour id in its column, in
-coordinate order, so a node's leaves are the ``weight`` entries of that
-column from the node's first coordinate on. A list rebuild, like the
-scan of a light node, therefore costs one lookup of that key in ``F``
-plus a ``collections.Counter`` over the slice: a count in C, linear in
-the node's weight, that touches no leaf object. A rebuild keeps the top
-colours by two C-level sorts, ids ascending and then stably by count
-descending.
+The point set ``F`` carries each point's colour id in its numeric
+column, in coordinate order, so a node's leaves are the ``weight``
+entries of that column from the node's first coordinate on, read as one
+``array('q')``. A list rebuild therefore costs one lookup of that key in
+``F`` plus a numpy count of the slice (``top_colours``), linear in the
+node's weight, that touches no leaf object: ``bincount`` while the
+largest id is below twice the slice length plus 4,096, ``unique`` past
+that, then the top ids by count descending and id ascending. A
+query counts its light nodes' slices and its leaves' colours as one
+joined ``array('q')`` with a ``Counter``.
 
 A query snaps its endpoints to stored coordinates, splits the range
 into canonical nodes, accumulates candidate counts from the top few
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from collections import Counter
 from fractions import Fraction
 
@@ -49,6 +52,45 @@ from .params import (
 from .registry import ColourRegistry, ScratchCounters
 
 INT_BOUND = 1 << 62
+
+
+def top_colours(ids, k) -> dict:
+    """The k most frequent of the positive int64 ids with their counts,
+    count descending and then id ascending."""
+    top = int(ids.max())
+    # bincount allocates and scans top + 1 slots, unique sorts the ids.
+    # Measured on Zipf-skewed ids (numpy 2.4, CPython 3.11, 2 vCPUs):
+    # bincount wins up to a largest id of about twice the slice length
+    # plus a few thousand (unique's fixed cost is about 20 us), e.g. 300
+    # ids up to 2,400: 30 against 45 us; 1,000 ids up to 4,000: 95
+    # against 100 us; 100,000 ids up to 1,000: 0.21 against 0.81 ms. Far
+    # past it bincount loses badly: 300 ids up to 200,000 take 0.96 ms
+    # against 59 us, 100,000 ids up to 800,000 3.4 against 0.9 ms.
+    if top < 2 * len(ids) + 4096:
+        counts = np.bincount(ids)
+        vals = np.flatnonzero(counts)
+        counts = counts[vals]
+    else:
+        vals, counts = np.unique(ids, return_counts=True)
+    if len(vals) > k:
+        # only ids counted at least as often as the k-th largest count
+        kth = np.partition(counts, len(counts) - k)[len(counts) - k]
+        keep = counts >= kth
+        vals, counts = vals[keep], counts[keep]
+    # vals ascend, so a stable sort by descending count breaks ties by id
+    order = np.argsort(-counts, kind="stable")[:k]
+    return dict(zip(vals[order].tolist(), counts[order].tolist()))
+
+
+def _as_float(x, what) -> float:
+    """x as a double; bools and non-numbers are refused, and an int past
+    the doubles' range becomes an infinity of its sign."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ValueError(f"numeric {what} required, got {x!r}")
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
 
 
 def group_by_height(nodes):
@@ -114,9 +156,9 @@ class MajorityIndex:
     """Dynamic 1-D range alpha-majority index.
 
     key_kind selects the coordinate domain: "int" (integers within
-    +/-2^62), "float" (finite doubles), or "object" (any totally ordered
-    Python keys, e.g. tuples). It changes validation only; every kind
-    answers through the same query path.
+    +/-2^62), "float" (ints or floats, kept as finite doubles), or
+    "object" (any totally ordered Python keys, e.g. tuples). It changes
+    validation only; every kind answers through the same query path.
     """
 
     def __init__(self, alpha, key_kind="int", registry=None, manage_registry=True):
@@ -158,7 +200,7 @@ class MajorityIndex:
                 raise ValueError(f"coordinate {x} outside +/-2^62")
             return x
         if self.key_kind == "float":
-            x = float(x)
+            x = _as_float(x, "coordinate")
             if not math.isfinite(x):
                 raise ValueError(f"finite coordinate required, got {x!r}")
             return x
@@ -171,7 +213,7 @@ class MajorityIndex:
                 raise ValueError(f"integer bound required, got {x!r}")
             return max(-INT_BOUND, x) if which == "lo" else min(INT_BOUND, x)
         if self.key_kind == "float":
-            x = float(x)
+            x = _as_float(x, "bound")
             if math.isnan(x):
                 raise ValueError("NaN query bound")
             return x
@@ -266,9 +308,7 @@ class MajorityIndex:
         return self
 
     def _bulk_list(self, node, seg) -> None:
-        vals, cnts = np.unique(seg, return_counts=True)
-        sel = np.lexsort((vals, -cnts))[: self.cfg.list_size]
-        node.cand = {int(vals[s]): int(cnts[s]) for s in sel}
+        node.cand = top_colours(seg, self.cfg.list_size)
         node.staleness = 0
         node.ell_at_rebuild = node.weight
         node.rebuild_at = rebuild_threshold(node.weight, self.cfg.beta)
@@ -277,11 +317,8 @@ class MajorityIndex:
 
     def rebuild_list(self, v) -> None:
         """Recompute C(v) exactly from v's slice of F's colour column."""
-        counts = Counter(self.F.values_from(v.min_leaf.coord, v.weight))
-        # count descending, then id ascending: the stable descending sort
-        # by count keeps the ascending id order among equal counts
-        top = sorted(sorted(counts), key=counts.__getitem__, reverse=True)
-        v.cand = {c: counts[c] for c in top[: self.cfg.list_size]}
+        ids = np.frombuffer(self.F.values_from(v.min_leaf.coord, v.weight), np.int64)
+        v.cand = top_colours(ids, self.cfg.list_size)
         v.staleness = 0
         v.ell_at_rebuild = v.weight
         v.rebuild_at = rebuild_threshold(v.weight, self.cfg.beta)
@@ -629,7 +666,7 @@ class MajorityIndex:
     def _top_groups(self, a, b):
         return group_by_height(self._decompose_all(a, b))[: self.cfg.top_count]
 
-    def _leaf_colours(self, v) -> list:
+    def _leaf_colours(self, v) -> array:
         """Colour ids of v's leaves, in order: v's slice of F's column."""
         self.stats["pruned_leaf_visits"] += v.weight
         return self.F.values_from(v.min_leaf.coord, v.weight)
@@ -639,7 +676,7 @@ class MajorityIndex:
         one count in C; return the listed nodes, whose lists the caller
         reads."""
         listed = []
-        ids = []
+        ids = array("q")  # light-node slices join by memory copies
         for _, nodes in groups:
             for u in nodes:
                 if u.height == 0:
@@ -712,24 +749,27 @@ class MajorityIndex:
             # `staleness` updates since moved at most one tracked count by
             # one, so every later entry is at most the current count plus
             # staleness: no entry past the first with count + staleness
-            # <= T/K can exceed T/K.
+            # <= T/K can exceed T/K. For integer n, n > x/d exactly when
+            # n > x // d, so each test below is one integer compare.
             pm = p * m
-            qk = 4 * q * (len(listed) + 1)
-            cands = {c for c, n in exact.items() if qk * n > pm}
+            part = pm // (4 * q * (len(listed) + 1))  # floor(T/K)
+            cands = {c for c, n in exact.items() if n > part}
             for u in listed:
-                s = u.staleness
+                stop = part - u.staleness
                 for c, n in u.cand.items():
-                    if qk * (n + s) <= pm:
+                    if n <= stop:
                         break
                     cands.add(c)
-            drained = []
+            drained = [] if dbg is not None else None
             out = {}
+            quarter = pm // (4 * q)  # floor(T)
             for c in cands:
                 tally = exact.get(c, 0)
                 for u in listed:
                     tally += u.cand.get(c, 0)
-                drained.append((c, tally))
-                if 4 * q * tally > pm:
+                if drained is not None:
+                    drained.append((c, tally))
+                if tally > quarter:
                     pc = self.per_colour.get(c)
                     f = pc.count_range(a, b) if pc is not None else 0
                     if q * f > pm:

@@ -178,6 +178,21 @@ class TestQuery:
         assert rc == 0
         assert jlines(out)[0]["colour"] == "a"
 
+    def test_real_mode_parses_integer_text(self, capsys, tmp_path):
+        # the CLI turns text into numbers before the float-kind index sees it
+        path = tmp_path / "r.jsonl"
+        path.write_text('{"t": 1, "c": "a"}\n{"t": "2", "c": "a"}\n'
+                        '{"t": " 2.5 ", "c": "b"}\n', encoding="utf-8")
+        snap = str(tmp_path / "s.jsonl")
+        rc, out, err = run_cli(capsys, "build", "--input", str(path),
+                               "--mode", "real", "--snapshot", snap)
+        assert rc == 0 and json.loads(out)["n"] == 3, err
+        rc, out, _ = run_cli(capsys, "query", "--snapshot", snap, "1", " 2 ")
+        assert rc == 0
+        assert jlines(out) == [{"colour": "a", "count": 2, "fraction": 1.0, "m": 2}]
+        rc, _, err = run_cli(capsys, "query", "--snapshot", snap, "true", "3")
+        assert rc == 2 and "true" in err
+
     def test_bad_bounds_exit_2(self, capsys, tmp_path, events_csv):
         snap = str(tmp_path / "s.jsonl")
         run_cli(capsys, "build", "--input", events_csv, "--snapshot", snap)
@@ -339,6 +354,30 @@ class TestReplay:
         stream.write_text('{"op": "delete", "t": 9}\n', encoding="utf-8")
         rc, _, _ = run_cli(capsys, "replay", "--input", str(stream))
         assert rc == 3
+
+
+    @pytest.mark.parametrize("mode", ["real", "int"])
+    @pytest.mark.parametrize("rec", [
+        {"op": "insert", "t": "4", "c": "r"},
+        {"op": "insert", "t": True, "c": "r"},
+        {"op": "delete", "t": "1"},
+        {"op": "delete", "t": False},
+        {"op": "query", "lo": "1", "hi": 3},
+        {"op": "query", "lo": 1, "hi": "3"},
+        {"op": "query", "lo": True, "hi": 3},
+        {"op": "query", "lo": 0, "hi": False},
+    ], ids=["insert-str", "insert-bool", "delete-str", "delete-bool",
+            "query-str-lo", "query-str-hi", "query-bool-lo", "query-bool-hi"])
+    def test_non_numeric_coordinate_exit_2(self, capsys, tmp_path, mode, rec):
+        stream = tmp_path / "st.jsonl"
+        recs = [{"op": "insert", "t": 1, "c": "r"}, rec]
+        stream.write_text("".join(json.dumps(r) + "\n" for r in recs),
+                          encoding="utf-8")
+        rc, out, err = run_cli(capsys, "replay", "--input", str(stream),
+                               "--mode", mode)
+        assert rc == 2 and out == ""
+        assert err.startswith("error: line 2: ") and err.count("\n") == 1
+        assert "Traceback" not in err and "not supported" not in err
 
 
 class TestSelftest:

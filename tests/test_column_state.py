@@ -1,17 +1,27 @@
 """Stateful check of the colour column that F carries beside its keys.
 
-Inserts, deletes, queries and forced registry remaps run in random
-interleavings against a plain dict; after every step the column equals
-the leaves' colours in order, and every query equals a brute-force count.
+Inserts, deletes, queries, forced registry remaps and (for the kinds a
+snapshot stores) a save-and-load round trip run in random interleavings
+against a plain dict; after every step the column equals the leaves'
+colours in order, and every query equals a brute-force count.
 """
 
+import os
 import random
+import tempfile
 
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
 
+from rangemaj import snapshot
 from rangemaj.errors import DuplicateKeyError
 from rangemaj.tree import MajorityIndex
 
@@ -20,6 +30,8 @@ KEY_OF = {
     "float": lambda i: i / 4,
     "object": lambda i: (i // 16, i % 16),
 }
+# the snapshot mode that stores each key kind; object keys have none
+SNAPSHOT_MODE = {"int": "int", "float": "real", "object": None}
 SLOTS = 600  # distinct keys per kind, few enough that inserts collide
 
 
@@ -81,6 +93,22 @@ def machine_for(kind):
             mapping = self.idx.registry.maybe_remap(0)
             if mapping:
                 self.idx._apply_remap(mapping)
+
+        @precondition(lambda self: SNAPSHOT_MODE[kind] is not None)
+        @rule(probes=st.lists(st.tuples(keys, keys), max_size=8))
+        def snapshot_round_trip(self, probes):
+            # the loaded copy answers like the live index, then replaces it
+            with tempfile.TemporaryDirectory() as tmp:
+                path = os.path.join(tmp, "snap.jsonl")
+                snapshot.save(self.idx, path, SNAPSHOT_MODE[kind])
+                loaded, mode = snapshot.load(path)
+            assert mode == SNAPSHOT_MODE[kind]
+            assert loaded.alpha == self.idx.alpha and len(loaded) == len(self.ref)
+            loaded.audit_tree(deep=True)
+            for a, b in probes + [(key_of(0), key_of(SLOTS - 1))]:
+                lo, hi = min(a, b), max(a, b)
+                assert loaded.query_counts(lo, hi) == self.idx.query_counts(lo, hi)
+            self.idx = loaded
 
         @invariant()
         def column_matches_leaves(self):

@@ -1,8 +1,10 @@
 """Counted ordered set: examples, oracle equivalence, structural churn."""
 
 import random
+from array import array
 from bisect import bisect_left, bisect_right, insort
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -293,8 +295,8 @@ def assert_aligned(cs, keys):
     cs.audit()
     assert list(cs.items()) == [(k, value_of(k)) for k in keys]
     if keys:
-        assert cs.values_from(keys[0], len(keys)) == [value_of(k) for k in keys]
-        assert cs.values_from(keys[0] - 1, 0) == []
+        assert list(cs.values_from(keys[0], len(keys))) == [value_of(k) for k in keys]
+        assert list(cs.values_from(keys[0] - 1, 0)) == []
 
 
 def test_column_split_at_split_at():
@@ -307,7 +309,7 @@ def test_column_split_at_split_at():
     assert_aligned(cs, keys)
     # a range across the split point takes a slice of each block
     mid = cs._blocks[1][0]
-    assert cs.values_from(mid - 3, 6) == [value_of(k) for k in range(mid - 3, mid + 3)]
+    assert list(cs.values_from(mid - 3, 6)) == [value_of(k) for k in range(mid - 3, mid + 3)]
 
 
 def test_column_merge_below_merge_below():
@@ -333,7 +335,7 @@ def test_column_delete_first_key_of_a_block():
     keys.remove(first)
     assert cs._mins[1] == first + 2
     assert_aligned(cs, keys)
-    assert cs.values_from(first - 2, 2) == [value_of(first - 2), value_of(first + 2)]
+    assert list(cs.values_from(first - 2, 2)) == [value_of(first - 2), value_of(first + 2)]
 
 
 def test_column_load_sorted_and_slices():
@@ -347,7 +349,7 @@ def test_column_load_sorted_and_slices():
         lo = rng.randint(-10, 10_010)
         after = [value_of(k) for k in keys if k >= lo]
         count = rng.randint(0, len(after))
-        assert cs.values_from(lo, count) == after[:count]
+        assert list(cs.values_from(lo, count)) == after[:count]
     with pytest.raises(ValueError):
         cs.load_sorted([1, 2], [5])
 
@@ -375,6 +377,25 @@ def test_column_map_values():
     cs = column_set(keys)
     cs.map_values(lambda v: -v)
     assert list(cs.items()) == [(k, -value_of(k)) for k in keys]
+    cs.audit()
+
+
+def test_column_blocks_are_int64_arrays():
+    # the column is numeric: every value block is an array('q'), which
+    # values_from joins and numpy reads without a copy
+    keys = list(range(3 * TARGET_BLOCK))
+    cs = CountedOrderedSet()
+    cs.load_sorted(keys, [value_of(k) for k in keys])
+    run = cs.values_from(TARGET_BLOCK - 2, 5)
+    assert type(run) is array and run.typecode == "q"
+    assert np.frombuffer(run, np.int64).tolist() == list(run)
+    cs.audit()
+    cs._vals[1] = list(cs._vals[1])
+    with pytest.raises(AssertionError, match="array"):
+        cs.audit()
+    cs._vals[1] = array("i", cs._vals[1])
+    with pytest.raises(AssertionError, match="array"):
+        cs.audit()
 
 
 @settings(max_examples=200, deadline=None)

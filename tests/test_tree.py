@@ -1,14 +1,20 @@
 """Behavioural tests for the 1-D majority index."""
 
 import random
+from collections import Counter
+from itertools import islice
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rangemaj.counted_set import TARGET_BLOCK
 from rangemaj.errors import DuplicateKeyError
 from rangemaj.fuzz import FuzzDriver
 from rangemaj.oracle import NaiveStore, naive_majority
+from rangemaj.registry import ColourRegistry
 from rangemaj.tree import MajorityIndex, group_by_height
 
 
@@ -183,6 +189,31 @@ class TestUpdates:
         idx.insert(2.5, "a")
         assert idx.query(2.0, 3.0) == {"a"}
 
+    @pytest.mark.parametrize("bad", ["3", True, False, None, b"1", (1.0,)])
+    def test_float_kind_refuses_non_numbers(self, bad):
+        # like the int kind: no string is parsed and no bool taken as 0/1
+        idx = MajorityIndex.build([(1.0, "a"), (2, "a")], "1/2", "float")
+        with pytest.raises(ValueError):
+            idx.insert(bad, "b")
+        with pytest.raises(ValueError):
+            idx.delete(bad)
+        with pytest.raises(ValueError):
+            idx.query_counts(bad, 3.0)
+        with pytest.raises(ValueError):
+            idx.query_counts(0.0, bad)
+        with pytest.raises(ValueError):
+            MajorityIndex.build([(bad, "b")], "1/2", "float")
+        assert idx.query_counts(0, 3) == {"a": 2}
+        assert [lf.coord for lf in idx.leaves()] == [1.0, 2.0]
+
+    def test_float_kind_ints_and_huge_bounds(self):
+        idx = MajorityIndex("1/2", "float")
+        idx.insert(3, "a")  # an int is kept as a double
+        assert type(next(idx.leaves()).coord) is float
+        with pytest.raises(ValueError):
+            idx.insert(10**400, "a")  # past the doubles: not finite
+        assert idx.query_counts(-(10**400), 10**400) == {"a": 1}
+
     def test_unknown_key_kind_rejected(self):
         with pytest.raises(ValueError):
             MajorityIndex("1/2", "decimal")
@@ -254,6 +285,75 @@ class TestCandidateLists:
         idx = MajorityIndex.build([(i, "x") for i in range(5)], "1/2")
         assert idx.root.cand is None  # 5 <= prune cutoff for alpha=1/2
         assert idx.query(0, 4) == {"x"}
+
+
+class TestRebuildEquivalence:
+    """``rebuild_list`` against a ``Counter`` over the node's leaves."""
+
+    @staticmethod
+    def counter_list(idx, v):
+        leaves = islice(idx._leaves_from(v.min_leaf.coord), v.weight)
+        counts = Counter(lf.colour for lf in leaves)
+        return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[: idx.cfg.list_size]
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["bincount", "unique"])
+    @settings(max_examples=30, deadline=None)
+    @given(
+        alpha=st.sampled_from(["1/2", "1/4"]),
+        n=st.integers(TARGET_BLOCK, 5 * TARGET_BLOCK),
+        colours=st.integers(1, 400),
+        updates=st.integers(0, 300),
+        seed=st.integers(0, 2**32),
+    )
+    def test_rebuilt_lists_match_counter(self, sparse, alpha, n, colours, updates, seed):
+        rng = random.Random(seed)
+        registry = ColourRegistry()
+        if sparse:
+            # Ids far above any slice length: 50,000 labels interned first
+            # hold the low ids, and without registry management no remap
+            # pulls the points' ids down after they are released.
+            dummies = [registry.intern(("dummy", i)) for i in range(50_000)]
+        skew = rng.random() * 3
+
+        def colour():
+            return "c%d" % int(colours * rng.random() ** (1 + skew))
+
+        coords = rng.sample(range(20 * n), n)
+        idx = MajorityIndex.build(
+            [(x, colour()) for x in coords], alpha,
+            registry=registry, manage_registry=not sparse,
+        )
+        if sparse:
+            for cid in dummies:
+                registry.release(cid)
+        live = set(coords)
+        for _ in range(updates):
+            if rng.random() < 0.5 and live:
+                x = rng.choice(sorted(live))
+                idx.delete(x)
+                live.discard(x)
+            else:
+                x = rng.randrange(20 * n)
+                if x not in live:
+                    idx.insert(x, colour())
+                    live.add(x)
+        # block boundaries of F, as positions in key order
+        edges = set(np.cumsum([len(b) for b in idx.F._blocks]).tolist())
+        crossed = 0
+        with mock.patch.object(np, "unique", wraps=np.unique) as unique:
+            for v in idx.internal_nodes():
+                if v.cand is None:
+                    continue
+                first = idx.F.rank_lt(v.min_leaf.coord)
+                crossed += any(first < e < first + v.weight for e in edges)
+                idx.rebuild_list(v)
+                assert list(v.cand.items()) == self.counter_list(idx, v)
+                assert v.staleness == 0
+        # dense ids count with bincount, sparse ones fall back to unique
+        assert unique.called == sparse
+        if len(idx) >= 2 * TARGET_BLOCK:
+            assert crossed, "no rebuilt slice crossed a block boundary"
+        idx.audit_tree(deep=True)
 
 
 class TestQueryPaths:
