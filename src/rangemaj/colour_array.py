@@ -61,11 +61,12 @@ class DynamicColourArray:
     def from_colours(cls, colours, alpha) -> DynamicColourArray:
         """An array holding colours in order, its labels spread evenly
         over the universe as by a top-level respread, built in one bulk
-        index build."""
+        index build from the labels, which are in order already."""
         self = cls(alpha)
         self._colours = list(colours)
         self._labels = _spread(0, UNIVERSE, len(self._colours))
-        self.engine = MajorityIndex.build(zip(self._labels, self._colours), alpha, "int")
+        engine = self.engine
+        engine._load_sorted(self._labels, engine.registry.intern_all(self._colours))
         return self
 
     def __len__(self) -> int:

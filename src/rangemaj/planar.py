@@ -158,9 +158,9 @@ class MajorityIndex2D:
             self._x_present.add(x)
             recs.append((x, y, label))
         recs.sort(key=lambda r: r[0])
-        leaves = [
-            _XLeaf(x, y, self.registry.intern(label), label) for x, y, label in recs
-        ]
+        labels = [label for _, _, label in recs]
+        cids = self.registry.intern_all(labels)
+        leaves = [_XLeaf(r[0], r[1], c, lab) for r, c, lab in zip(recs, cids, labels)]
         if leaves:
             self.root = self._build_span(leaves)[0]
         return self
@@ -179,32 +179,28 @@ class MajorityIndex2D:
         return self._join(left, right, recs), recs
 
     def _join(self, left, right, recs):
-        """Internal node over adjacent subtrees whose points are recs."""
+        """Internal node over adjacent subtrees whose points are recs; it
+        takes one registry reference per point."""
         node = _XNode(left, right)
-        intern, label_of = self.registry.intern, self.registry.label_of
+        cols = [r[2] for r in recs]
+        self.registry.hold(cols)
         if node.weight > self.light_cutoff:
-            node.sub = self._sub_index([((y, x), label_of(c)) for y, x, c in recs])
+            node.sub = self._sub_index([(y, x) for y, x, _ in recs], cols)
         else:
             node.ys = [r[0] for r in recs]
             node.xs = [r[1] for r in recs]
-            node.cols = [r[2] for r in recs]
-            for c in node.cols:  # the node's hold on each point's colour
-                intern(label_of(c))
+            node.cols = cols
         return node
 
-    def _sub_index(self, points):
-        # interns each point's colour once: the node's hold on it
-        return MajorityIndex.build(
-            points, self.cfg.alpha, "object", registry=self.registry, manage_registry=False
-        )
+    def _sub_index(self, keys, cids):
+        """A 1-D index over (y, x) keys, in order, and their colour ids,
+        whose registry references the caller has taken."""
+        sub = MajorityIndex(self.cfg.alpha, "object", self.registry, manage_registry=False)
+        return sub._load_sorted(keys, cids)
 
     def _to_heavy(self, node) -> None:
-        label_of = self.registry.label_of
-        node.sub = self._sub_index(
-            [((y, x), label_of(c)) for y, x, c in zip(node.ys, node.xs, node.cols)]
-        )
-        for c in node.cols:  # the sub-index holds its own
-            self.registry.release(c)
+        # the sub-index takes over the lists' holds, one per point
+        node.sub = self._sub_index(list(zip(node.ys, node.xs)), node.cols)
         node.ys = node.xs = node.cols = None
         self.stats["to_heavy"] += 1
 

@@ -32,23 +32,36 @@ class ColourRegistry:
     def live_count(self) -> int:
         return self._live
 
-    def intern(self, label) -> int:
-        """Id for label, allocating if new; counts one reference."""
+    def intern(self, label, refs: int = 1) -> int:
+        """Id for label, allocating if new; counts refs references."""
         cid = self._label_index.get(label)
         if cid is not None:
-            self._refcounts[cid] += 1
+            self._refcounts[cid] += refs
             return cid
         if self._free:
             cid = heapq.heappop(self._free)
             self._labels[cid] = label
-            self._refcounts[cid] = 1
+            self._refcounts[cid] = refs
         else:
             cid = len(self._labels)
             self._labels.append(label)
-            self._refcounts.append(1)
+            self._refcounts.append(refs)
         self._label_index[label] = cid
         self._live += 1
         return cid
+
+    def intern_all(self, labels) -> list[int]:
+        """Ids of the labels of a sequence, one reference per entry. Each
+        distinct label is interned once, in order of first appearance, so
+        ids come out as a label-by-label intern would issue them."""
+        ids = {lab: self.intern(lab, n) for lab, n in Counter(labels).items()}
+        return list(map(ids.__getitem__, labels))
+
+    def hold(self, cids) -> None:
+        """One more reference on each id of cids, all of them live."""
+        refcounts = self._refcounts
+        for cid in cids:
+            refcounts[cid] += 1
 
     def release(self, cid: int) -> bool:
         """Drop one reference; returns True when the id was retired."""

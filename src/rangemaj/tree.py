@@ -21,6 +21,15 @@ that, then the top ids by count descending and id ascending. A
 query counts its light nodes' slices and its leaves' colours as one
 joined ``array('q')`` with a ``Counter``.
 
+Every bulk build runs one core, ``_load_sorted``: keys already in
+strictly ascending order plus colour ids whose registry references the
+caller holds. It loads ``F`` and the per-colour sets from sorted runs,
+then groups each level greedily into parents and counts each heavy
+node's list from its slice of the ids, with the cyclic garbage
+collector paused. ``build`` validates, sorts and
+interns labels, then calls it; a snapshot load, the colour array's
+``from_colours`` and the planar index's heavy nodes call it directly.
+
 A query snaps its endpoints to stored coordinates, splits the range
 into canonical nodes, accumulates candidate counts from the top few
 height levels only, filters at a quarter of the reporting threshold, and
@@ -32,11 +41,14 @@ reproduction and is not on the query path.
 
 from __future__ import annotations
 
+import gc
 import heapq
 import math
 from array import array
+from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -236,76 +248,84 @@ class MajorityIndex:
 
     @classmethod
     def build(cls, points, alpha, key_kind="int", registry=None, manage_registry=True):
+        """An index over (coordinate, colour label) pairs in any order;
+        each point takes one registry reference for its colour."""
         self = cls(alpha, key_kind, registry, manage_registry)
         pts = sorted((self._coord(c), lab) for c, lab in points)
         for i in range(1, len(pts)):
             if pts[i - 1][0] == pts[i][0]:
                 raise DuplicateKeyError(pts[i][0])
-        if not pts:
+        keys = [c for c, _ in pts]
+        return self._load_sorted(keys, self.registry.intern_all([lab for _, lab in pts]))
+
+    def _load_sorted(self, keys, cids):
+        """Fill this empty index from valid keys in strictly ascending
+        order and their colour ids, and return it. The caller holds the
+        registry references the ids need; nothing here interns."""
+        if not keys:
             return self
+        # The build allocates about one object per point, none of which
+        # is garbage before it returns, and each allocation burst sets off
+        # collector passes over every live object: at 100,000 points they
+        # took half of a snapshot load. The collector is paused meanwhile.
+        paused = gc.isenabled()
+        gc.disable()
+        try:
+            self._fill_sorted(keys, cids)
+        finally:
+            if paused:
+                gc.enable()
+        return self
 
-        leaves = []
-        cids = []
-        per_cid: dict = {}
-        for coord, lab in pts:
-            cid = self.registry.intern(lab)
-            leaves.append(_Leaf(coord, cid))
-            cids.append(cid)
-            per_cid.setdefault(cid, []).append(coord)
-        self.F.load_sorted([c for c, _ in pts], cids)
-        for cid, coords in per_cid.items():
-            pc = self.per_colour[cid] = CountedOrderedSet()
-            pc.load_sorted(coords)
-
+    def _fill_sorted(self, keys, cids) -> None:
+        self.F.load_sorted(keys, cids)
         ids_arr = np.array(cids, dtype=np.int64)
-        level = leaves
-        spans = [(i, i + 1) for i in range(len(leaves))]
+        # a stable sort by id lists each colour's keys in key order
+        order = np.argsort(ids_arr, kind="stable")
+        by_colour = ids_arr[order]
+        starts = (np.flatnonzero(by_colour[1:] != by_colour[:-1]) + 1).tolist()
+        grouped = [keys[i] for i in order.tolist()]
+        for i, j in zip([0] + starts, starts + [len(keys)]):
+            pc = self.per_colour[int(by_colour[i])] = CountedOrderedSet()
+            pc.load_sorted(grouped[i:j])
+
+        level = list(map(_Leaf, keys, cids))
         h = 0
         while len(level) > 1:
             h += 1
             target = BRANCH**h
-            group_lists: list[list] = []
-            cur: list = []
-            acc = 0
-            for node in level:
-                cur.append(node)
-                acc += node.weight
-                if acc >= target:
-                    group_lists.append(cur)
-                    cur = []
-                    acc = 0
-            if cur:
-                if group_lists and 2 * acc < target:
-                    group_lists[-1].extend(cur)
-                else:
-                    group_lists.append(cur)
-
+            # Children group greedily: a group closes once its weight
+            # reaches the target, and a last group under half the target
+            # joins the one before. pre[i] is the weight of level[:i],
+            # which is also where level[i]'s leaves start.
+            pre = list(accumulate([v.weight for v in level], initial=0))
+            n = len(level)
+            cuts = [0]
+            while True:
+                e = bisect_left(pre, pre[cuts[-1]] + target)
+                if e >= n:
+                    break
+                cuts.append(e)
+            if len(cuts) > 1 and 2 * (pre[n] - pre[cuts[-1]]) < target:
+                cuts[-1] = n
+            else:
+                cuts.append(n)
             new_level = []
-            new_spans = []
-            pos = 0
-            for kids in group_lists:
+            for i, j in zip(cuts, cuts[1:]):
                 node = _Node(h)
-                node.children = kids
-                w = 0
+                node.children = kids = level[i:j]
                 for c in kids:
                     c.parent = node
-                    w += c.weight
-                node.weight = w
+                node.weight = w = pre[j] - pre[i]
                 node.min_leaf = kids[0].min_leaf
                 node.max_leaf = kids[-1].max_leaf
-                i0 = spans[pos][0]
-                i1 = spans[pos + len(kids) - 1][1]
-                pos += len(kids)
                 if w > self.prune_cutoff:
-                    self._bulk_list(node, ids_arr[i0:i1])
+                    self._bulk_list(node, ids_arr[pre[i] : pre[j]])
                 new_level.append(node)
-                new_spans.append((i0, i1))
             level = new_level
-            spans = new_spans
 
         self.root = level[0]
         self.root.parent = None
-        return self
 
     def _bulk_list(self, node, seg) -> None:
         node.cand = top_colours(seg, self.cfg.list_size)

@@ -5,8 +5,12 @@ deletes, modifies, appends and queries run in random interleavings; the
 array's contents equal the list after every step, every query equals a
 brute-force count, and a deep audit follows every step that re-spread a
 label window. Across the run, respreads happen at several window levels.
+A snapshot round trip saves the array, loads it, checks the copy and
+carries on with it.
 """
 
+import os
+import tempfile
 from collections import Counter
 from fractions import Fraction
 
@@ -22,6 +26,7 @@ from hypothesis.stateful import (
     run_state_machine_as_test,
 )
 
+from rangemaj import snapshot
 from rangemaj.colour_array import DynamicColourArray
 
 ALPHA = Fraction(1, 3)
@@ -48,6 +53,9 @@ class ArrayMachine(RuleBasedStateMachine):
                 self.arr.append(c)
         self.ref = list(colours)
         self.respread = False
+        self._watch()
+
+    def _watch(self):
         inner = self.arr._respread
 
         def spy(lo, level, *rest):
@@ -106,6 +114,23 @@ class ArrayMachine(RuleBasedStateMachine):
         n = len(self.ref)
         with pytest.raises(IndexError):
             self.arr.query_counts(1, n + 1 + pos % 3)
+
+    @rule(windows=st.lists(st.tuples(POS, POS), max_size=6))
+    def snapshot_round_trip(self, windows):
+        # the loaded copy answers like the live array, then replaces it
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "snap.jsonl")
+            snapshot.save(self.arr, path, "array")
+            loaded, mode = snapshot.load(path)
+        assert mode == "array" and loaded.alpha == ALPHA
+        loaded.audit(deep=True)
+        n = len(self.ref)
+        assert [loaded.get(i) for i in range(1, n + 1)] == self.ref
+        for a, b in windows + [(0, n - 1)] if n else []:
+            i, j = a % n + 1, b % n + 1
+            assert loaded.query_counts(i, j) == self.arr.query_counts(i, j)
+        self.arr = loaded
+        self._watch()
 
     @invariant()
     def matches_list(self):

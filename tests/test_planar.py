@@ -11,6 +11,7 @@ from rangemaj.oracle import NaiveStore2D, naive_majority_2d
 from rangemaj.params import AlphaConfig
 from rangemaj.planar import MajorityIndex2D
 from rangemaj.registry import ColourRegistry
+from rangemaj.tree import MajorityIndex
 
 
 def mirrored_pair(alpha, n, rng, x_span=50000, y_span=300, colours=8, zipf=False):
@@ -192,6 +193,64 @@ class TestStructure:
         assert all(v.weight > idx.light_cutoff for v in heavy)
         assert all(v.weight <= idx.light_cutoff
                    for v in self._internal(idx.root) if v.sub is None)
+
+    @staticmethod
+    def _assert_sub_matches_label_build(idx, sub, points):
+        # the sub-index a heavy node builds from colour ids equals a label
+        # build of the node's (y, x, label) points: same F, per-colour
+        # sets and lists
+        reg = idx.registry
+        ref = MajorityIndex.build([((y, x), label) for y, x, label in points], idx.alpha,
+                                  "object", registry=reg, manage_registry=False)
+        try:
+            assert list(sub.F.items()) == list(ref.F.items())
+            assert ({c: list(pc) for c, pc in sub.per_colour.items()}
+                    == {c: list(pc) for c, pc in ref.per_colour.items()})
+            assert ([(v.weight, v.cand and list(v.cand.items())) for v in sub.internal_nodes()]
+                    == [(v.weight, v.cand and list(v.cand.items())) for v in ref.internal_nodes()])
+            sub.audit_tree(deep=True)
+        finally:
+            for _, c in ref.F.items():  # the reference build's holds
+                reg.release(c)
+
+    def test_heavy_sub_indexes_equal_label_builds(self):
+        rng = random.Random(8)
+        n = 1500
+        pts = [(x, rng.randrange(300), "c%d" % min(rng.randrange(12), rng.randrange(12)))
+               for x in rng.sample(range(10 * n), n)]
+        idx = MajorityIndex2D.build(pts, "1/4")
+        heavy = [v for v in self._internal(idx.root) if v.sub is not None]
+        assert heavy
+        for v in heavy:
+            leaves = []
+            idx._gather_ordered(v, leaves)
+            points = [(lf.y, lf.x, lf.label) for lf in leaves]
+            self._assert_sub_matches_label_build(idx, v.sub, points)
+        idx.audit2d()
+
+        # light nodes that grow past 2L convert in place, also from ids:
+        # a point in every gap of the x order keeps the tree balanced
+        def point(x):
+            return x, x * 7919 % 300, "c%d" % min(x % 12, x // 7 % 12)
+
+        idx = MajorityIndex2D.build([point(i << 10) for i in range(50)], "1/2")
+        converted = []
+        to_heavy = idx._to_heavy
+
+        def spy(node):
+            # mid-insert: the node's lists already hold the new point
+            label = idx.registry.label_of
+            points = [(y, x, label(c)) for y, x, c in zip(node.ys, node.xs, node.cols)]
+            to_heavy(node)
+            self._assert_sub_matches_label_build(idx, node.sub, points)
+            converted.append(node)
+
+        idx._to_heavy = spy
+        while not converted:
+            xs = [x for x, _, _ in idx.points()]
+            for a, b in zip(xs, xs[1:]):
+                idx.insert(*point((a + b) // 2))
+        idx.audit2d()
 
     @staticmethod
     def _internal(root):

@@ -6,10 +6,13 @@ every step. Two bulk rules move the whole index across the light
 cutoff L: ``grow`` doubles every x-span until more than 2L points are
 stored, and ``drain`` halves them until at most L/2 are left. Both keep
 the x-tree balanced, so the nodes convert in place (light to heavy, and
-back) instead of being rebuilt by a scapegoat step.
+back) instead of being rebuilt by a scapegoat step. A snapshot round
+trip saves the index, loads it, checks the copy and carries on with it.
 """
 
+import os
 import random
+import tempfile
 
 import pytest
 from hypothesis import settings
@@ -23,6 +26,7 @@ from hypothesis.stateful import (
     run_state_machine_as_test,
 )
 
+from rangemaj import snapshot
 from rangemaj.errors import DuplicateKeyError
 from rangemaj.oracle import NaiveStore2D
 from rangemaj.planar import MajorityIndex2D
@@ -120,15 +124,34 @@ class PlanarMachine(RuleBasedStateMachine):
         lab = label_of(i)
         assert self.idx.rect_colour_count(lab, *box) == counts.get(lab, 0)
 
+    @rule(boxes=st.lists(st.tuples(XS, XS, YS, YS), max_size=6))
+    def snapshot_round_trip(self, boxes):
+        # the loaded copy answers like the live index, then replaces it
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "snap.jsonl")
+            snapshot.save(self.idx, path, "2d")
+            loaded, mode = snapshot.load(path)
+        assert mode == "2d" and loaded.alpha == self.idx.alpha
+        loaded.audit2d()
+        assert list(loaded.points()) == list(self.idx.points())
+        for x1, x2, y1, y2 in boxes + [(-1, X_MAX + 1, -1, Y_SPAN)]:
+            box = min(x1, x2), max(x1, x2), min(y1, y2), max(y1, y2)
+            assert loaded.query_counts(*box) == self.idx.query_counts(*box)
+        self._count_conversions()
+        self.idx = loaded
+
     @invariant()
     def audited(self):
         self.idx.audit2d()
         assert len(self.idx) == len(self.xs)
 
+    def _count_conversions(self):
+        for k in self.conversions:
+            self.conversions[k] += self.idx.stats[k]
+
     def teardown(self):
         if hasattr(self, "idx"):
-            for k in self.conversions:
-                self.conversions[k] += self.idx.stats[k]
+            self._count_conversions()
 
 
 def test_planar_state_machine_converts_both_ways():

@@ -1,5 +1,6 @@
 """Behavioural tests for the 1-D majority index."""
 
+import gc
 import random
 from collections import Counter
 from itertools import islice
@@ -14,6 +15,7 @@ from rangemaj.counted_set import TARGET_BLOCK
 from rangemaj.errors import DuplicateKeyError
 from rangemaj.fuzz import FuzzDriver
 from rangemaj.oracle import NaiveStore, naive_majority
+from rangemaj.params import BRANCH
 from rangemaj.registry import ColourRegistry
 from rangemaj.tree import MajorityIndex, group_by_height
 
@@ -59,6 +61,51 @@ class TestBuild:
             lo = rng.randrange(-100, 10100)
             hi = rng.randrange(lo, 10100)
             assert bulk.query_counts(lo, hi) == inc.query_counts(lo, hi)
+
+    @staticmethod
+    def _greedy_groups(weights, target):
+        # the reference grouping: close a group once its weight reaches
+        # the target; a last group under half the target joins the one
+        # before
+        groups, cur, acc = [], [], 0
+        for w in weights:
+            cur.append(w)
+            acc += w
+            if acc >= target:
+                groups.append(cur)
+                cur, acc = [], 0
+        if cur:
+            if groups and 2 * acc < target:
+                groups[-1].extend(cur)
+            else:
+                groups.append(cur)
+        return [len(g) for g in groups]
+
+    @pytest.mark.parametrize(
+        "n", [2, 3, 7, 8, 9, 11, 12, 13, 63, 64, 65, 68, 100, 511, 512, 515, 700, 4100, 5000]
+    )
+    def test_levels_group_like_the_greedy_reference(self, n):
+        idx = MajorityIndex.build([(i, "c%d" % (i % 3)) for i in range(n)], "1/2")
+        level = list(idx.leaves())
+        h = 0
+        while len(level) > 1:
+            h += 1
+            parents = list(dict.fromkeys(v.parent for v in level))
+            assert all(p.height == h for p in parents)
+            want = self._greedy_groups([v.weight for v in level], BRANCH**h)
+            assert [len(p.children) for p in parents] == want
+            level = parents
+        assert level == [idx.root]
+        idx.audit_tree(deep=True)
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_bulk_build_leaves_the_collector_as_it_was(self, enabled):
+        (gc.enable if enabled else gc.disable)()
+        try:
+            MajorityIndex.build([(i, "c%d" % (i % 3)) for i in range(300)], "1/2")
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
 
 
 class TestStrictness:
