@@ -1,8 +1,9 @@
 """Command line front end: build/query/replay over event logs, plus a
 selftest entry point.
 
-Exit codes: 0 ok, 1 verification failure, 2 input error, 3 constraint
-violation (duplicate or missing coordinate).
+Exit codes: 0 ok, 1 verification failure, 2 input error (malformed or
+non-UTF-8 input, or a path that cannot be opened), 3 constraint
+violation (duplicate or missing coordinate); never a traceback.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .errors import DuplicateKeyError
 from .fuzz import FuzzDriver, LemmaAuditError
 from .planar import MajorityIndex2D
 from .snapshot import SnapshotError, parse_alpha
-from .tree import MajorityIndex
+from .tree import MajorityIndex, _as_float
 
 log = logging.getLogger("rangemaj")
 
@@ -43,26 +44,31 @@ def _fail(msg: str, code: int) -> int:
 
 # ---- input parsing ----
 
+def _number(text):
+    """A coordinate field as a number: a JSON number as it is, text as an
+    int when it reads as one and else as a float; ValueError otherwise."""
+    if isinstance(text, (int, float)) and not isinstance(text, bool):
+        return text
+    s = str(text).strip()
+    for parse in (int, float):
+        try:
+            return parse(s)
+        except ValueError:
+            pass
+    raise ValueError(f"bad coordinate {s!r}")
+
+
 def _coord(text, mode: str, lineno: int = 0):
     where = f"line {lineno}: " if lineno else ""
-    if isinstance(text, (int, float)) and not isinstance(text, bool):
-        val = text
-    else:
-        s = str(text).strip()
-        try:
-            val = int(s, 10)
-        except ValueError:
-            if mode == "int":
-                raise InputError(f"{where}integer coordinate expected, got {s!r}")
-            try:
-                val = float(s)
-            except ValueError:
-                raise InputError(f"{where}bad coordinate {s!r}") from None
+    try:
+        val = _number(text)
+    except ValueError as exc:
+        raise InputError(f"{where}{exc}") from None
     if mode == "int":
         if isinstance(val, float):
             raise InputError(f"{where}integer coordinate expected, got {val!r}")
         return val
-    out = float(val)
+    out = _as_float(val, "coordinate")  # an int past the doubles' range is infinite
     if not math.isfinite(out):
         raise InputError(f"{where}non-finite coordinate {out!r}")
     return out
@@ -131,38 +137,45 @@ def _build_object(args):
         return MajorityIndex2D.build(pts, alpha), alpha
 
     pts = []
-    seen = {}
-    for lineno, t, c, y in events:
+    lines = []
+    for lineno, t, c, _y in events:
         if t is None:
             raise InputError(f"line {lineno}: missing timestamp")
-        x = _coord(t, mode, lineno)
-        if x in seen:
-            raise DuplicateKeyError(
-                f"line {lineno}: coordinate {x!r} already used on line {seen[x]}"
-            )
-        seen[x] = lineno
-        pts.append((x, c))
+        try:
+            pts.append((_number(t), c))
+        except ValueError as exc:
+            raise InputError(f"line {lineno}: {exc}") from None
+        lines.append(lineno)
     kind = "float" if mode == "real" else mode
-    return MajorityIndex.build(pts, alpha, key_kind=kind), alpha
+    try:
+        return MajorityIndex.build(pts, alpha, key_kind=kind), alpha
+    except ValueError:
+        # the build checks each point once; on a failure, find the first
+        # bad line in file order
+        check, seen = MajorityIndex(alpha, kind)._coord, {}
+        for (t, _), lineno in zip(pts, lines):
+            try:
+                x = check(t)
+            except ValueError as exc:
+                raise InputError(f"line {lineno}: {exc}") from None
+            if x in seen:
+                raise DuplicateKeyError(
+                    f"line {lineno}: coordinate {x!r} already used on line {seen[x]}"
+                ) from None
+            seen[x] = lineno
+        raise
 
 
 def _summary(obj, mode: str, alpha: Fraction) -> dict:
     if mode == "array":
-        n = len(obj)
-        colours = obj.engine.registry.live_count
-        height = obj.engine.height
+        registry, height = obj.engine.registry, obj.engine.height
     elif mode == "2d":
-        n = len(obj)
-        colours = obj.registry.live_count
-        depths = obj.membership_depths()
-        height = max(depths.values()) if depths else None
+        registry, height = obj.registry, max(obj.membership_depths().values(), default=None)
     else:
-        n = len(obj)
-        colours = obj.registry.live_count
-        height = obj.height
+        registry, height = obj.registry, obj.height
     return {
-        "n": n,
-        "colours": colours,
+        "n": len(obj),
+        "colours": registry.live_count,
         "height": height,
         "mode": mode,
         "alpha": f"{alpha.numerator}/{alpha.denominator}",
@@ -197,12 +210,8 @@ def cmd_query(args) -> int:
     if mode == "2d":
         if len(vals) != 4:
             raise InputError("2-D query needs lo hi ylo yhi")
-        b = tuple(_coord(v, "real") for v in vals)
-        bounds = (b[0], b[1], b[2], b[3])
-        if b[0] > b[1] or b[2] > b[3]:
-            counts = {}
-        else:
-            counts = obj.query_counts(*bounds)
+        bounds = tuple(_coord(v, "real") for v in vals)
+        counts = obj.query_counts(*bounds)  # {} for an inverted rectangle
     elif mode == "array":
         if len(vals) != 2:
             raise InputError("array query needs positions i j")
@@ -428,8 +437,13 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (InputError, SnapshotError) as exc:
         return _fail(str(exc), EXIT_INPUT)
-    except FileNotFoundError as exc:
-        return _fail(f"cannot open {exc.filename}", EXIT_INPUT)
+    except UnicodeDecodeError as exc:
+        # snapshot.load maps its own; build and replay read args.input
+        return _fail(f"{args.input}: not UTF-8 text ({exc.reason})", EXIT_INPUT)
+    except OSError as exc:
+        # not found, a directory, no permission, ...: the path as given
+        where = f"cannot open {exc.filename}: " if exc.filename is not None else ""
+        return _fail(f"{where}{exc.strerror or exc}", EXIT_INPUT)
     except DuplicateKeyError as exc:
         return _fail(str(exc), EXIT_CONSTRAINT)
     except KeyError as exc:

@@ -30,6 +30,13 @@ is filtered once globally at a quarter of the reporting threshold, and
 each survivor is verified by its exact count plus its per-colour counts
 in the heavy pieces.
 
+Every layer below the index runs on colour ids. The index alone holds
+registry references, one per live point through its leaf: a label is
+interned once in ``build`` or ``insert`` and released once in
+``delete``. Light lists copy the leaf's id, and heavy sub-indexes take
+it through the 1-D index's id-level core, which never touches the
+registry.
+
 x-coordinates are pairwise distinct (the 1-D index's rule, lifted);
 y-coordinates may repeat freely.
 """
@@ -58,16 +65,15 @@ def _yhi_key(yhi):
 
 
 class _XLeaf:
-    __slots__ = ("x", "y", "cid", "label", "parent")
+    __slots__ = ("x", "y", "cid", "parent")
     weight = 1
     left = None
     right = None
 
-    def __init__(self, x, y, cid, label):
+    def __init__(self, x, y, cid):
         self.x = x
         self.y = y
         self.cid = cid
-        self.label = label
         self.parent = None
 
     @property
@@ -106,13 +112,12 @@ def _slot(node, y, x):
 class MajorityIndex2D:
     """Dynamic rectangle alpha-majority index over planar points."""
 
-    def __init__(self, alpha, registry=None):
+    def __init__(self, alpha):
         self.cfg = AlphaConfig.from_alpha(alpha)
         self._ap = self.cfg.alpha.numerator
         self._aq = self.cfg.alpha.denominator
         self.light_cutoff = LIGHT_LISTS * self.cfg.list_size
-        self._shared_registry = registry is not None
-        self.registry = registry if registry is not None else ColourRegistry()
+        self.registry = ColourRegistry()
         self.scratch = ScratchCounters()
         self.root = None
         self._x_present: set = set()
@@ -147,8 +152,8 @@ class MajorityIndex2D:
     # ---- construction ----
 
     @classmethod
-    def build(cls, points, alpha, registry=None):
-        self = cls(alpha, registry)
+    def build(cls, points, alpha):
+        self = cls(alpha)
         recs = []
         for x, y, label in points:
             x = self._num(x, "x-coordinate")
@@ -158,9 +163,8 @@ class MajorityIndex2D:
             self._x_present.add(x)
             recs.append((x, y, label))
         recs.sort(key=lambda r: r[0])
-        labels = [label for _, _, label in recs]
-        cids = self.registry.intern_all(labels)
-        leaves = [_XLeaf(r[0], r[1], c, lab) for r, c, lab in zip(recs, cids, labels)]
+        cids = self.registry.intern_all([label for _, _, label in recs])
+        leaves = [_XLeaf(r[0], r[1], c) for r, c in zip(recs, cids)]
         if leaves:
             self.root = self._build_span(leaves)[0]
         return self
@@ -179,11 +183,9 @@ class MajorityIndex2D:
         return self._join(left, right, recs), recs
 
     def _join(self, left, right, recs):
-        """Internal node over adjacent subtrees whose points are recs; it
-        takes one registry reference per point."""
+        """Internal node over adjacent subtrees whose points are recs."""
         node = _XNode(left, right)
         cols = [r[2] for r in recs]
-        self.registry.hold(cols)
         if node.weight > self.light_cutoff:
             node.sub = self._sub_index([(y, x) for y, x, _ in recs], cols)
         else:
@@ -193,19 +195,15 @@ class MajorityIndex2D:
         return node
 
     def _sub_index(self, keys, cids):
-        """A 1-D index over (y, x) keys, in order, and their colour ids,
-        whose registry references the caller has taken."""
-        sub = MajorityIndex(self.cfg.alpha, "object", self.registry, manage_registry=False)
-        return sub._load_sorted(keys, cids)
+        """A 1-D index over (y, x) keys, in order, and their colour ids."""
+        return MajorityIndex(self.cfg.alpha, "object", self.registry)._load_sorted(keys, cids)
 
     def _to_heavy(self, node) -> None:
-        # the sub-index takes over the lists' holds, one per point
         node.sub = self._sub_index(list(zip(node.ys, node.xs)), node.cols)
         node.ys = node.xs = node.cols = None
         self.stats["to_heavy"] += 1
 
     def _to_light(self, node) -> None:
-        # the lists take over the sub-index's holds, one per point
         keys, cols = zip(*node.sub.F.items())
         node.ys = [k[0] for k in keys]
         node.xs = [k[1] for k in keys]
@@ -221,7 +219,7 @@ class MajorityIndex2D:
         if x in self._x_present:
             raise DuplicateKeyError(x)
         cid = self.registry.intern(label)
-        leaf = _XLeaf(x, y, cid, label)
+        leaf = _XLeaf(x, y, cid)
         self._x_present.add(x)
         if self.root is None:
             self.root = leaf
@@ -236,11 +234,11 @@ class MajorityIndex2D:
                 i = _slot(cur, y, x)
                 cur.ys.insert(i, y)
                 cur.xs.insert(i, x)
-                cur.cols.insert(i, self.registry.intern(label))
+                cur.cols.insert(i, cid)
                 if cur.weight > heavy_at:
                     self._to_heavy(cur)
             else:
-                cur.sub.insert((y, x), label)
+                cur.sub._insert_id((y, x), lambda: cid)
             if x < cur.min_x:
                 cur.min_x = x
             if x > cur.max_x:
@@ -274,9 +272,8 @@ class MajorityIndex2D:
             if node.sub is None:
                 i = _slot(node, y, x)
                 del node.ys[i], node.xs[i], node.cols[i]
-                self.registry.release(cur.cid)
             else:
-                node.sub.delete((y, x))
+                node.sub._delete_id((y, x))
                 if 2 * node.weight <= self.light_cutoff:
                     self._to_light(node)
         self.registry.release(cur.cid)
@@ -293,9 +290,6 @@ class MajorityIndex2D:
             grand.left = sibling
         else:
             grand.right = sibling
-        # the collapsed node, light at weight 1, still holds its sibling's point
-        for c in dying.cols:
-            self.registry.release(c)
         for node in reversed(path):
             node.min_x = node.left.min_x
             node.max_x = node.right.max_x
@@ -316,7 +310,6 @@ class MajorityIndex2D:
     def _rebuild_subtree(self, node) -> None:
         leaves: list = []
         self._gather_ordered(node, leaves)
-        self._release_subtree_holds(node)
         fresh = self._build_span(leaves)[0]
         parent = node.parent
         fresh.parent = parent
@@ -342,22 +335,9 @@ class MajorityIndex2D:
             return
         out: list = []
         self._gather_ordered(self.root, out)
+        label = self.registry.label_of
         for lf in out:
-            yield lf.x, lf.y, lf.label
-
-    def _release_subtree_holds(self, node) -> None:
-        # every internal node holds one registry ref per point
-        release = self.registry.release
-        stack = [node]
-        while stack:
-            v = stack.pop()
-            if v.weight == 1:
-                continue
-            # the node's colour column: its lists, or its sub-index's F
-            for c in v.cols if v.sub is None else [c for _, c in v.sub.F.items()]:
-                release(c)
-            stack.append(v.left)
-            stack.append(v.right)
+            yield lf.x, lf.y, label(lf.cid)
 
     # ---- canonical pieces ----
 
@@ -463,19 +443,16 @@ class MajorityIndex2D:
         self.scratch.audit_zero()
         if self.root is None:
             assert not self._x_present
+            assert self.registry.live_count == 0
             return
         assert self.root.parent is None
         n = len(self._x_present)
         depth_cap = 2 * max(1, math.ceil(math.log2(max(2, n)))) + 3
         light = self.light_cutoff
-        holds: dict = {}
 
         def walk(v, depth):
             if v.weight == 1:
                 assert depth <= depth_cap, f"leaf depth {depth} over cap {depth_cap}"
-                self.registry.label_of(v.cid)
-                # one wrapper hold plus one per internal ancestor
-                holds[v.cid] = holds.get(v.cid, 0) + 1 + depth
                 return 1, v.x, v.x, [(v.y, v.x, v.cid)]
             assert v.left.parent is v and v.right.parent is v
             lw, lmin, lmax, lrecs = walk(v.left, depth + 1)
@@ -499,19 +476,18 @@ class MajorityIndex2D:
                 assert 2 * w > light, f"heavy node of weight {w} at or under L/2"
                 assert v.ys is None and v.xs is None and v.cols is None
                 assert len(v.sub) == w, "substructure size drifted from span"
-                v.sub.audit_tree()
+                v.sub.audit_structure()
                 assert [(k[0], k[1], c) for k, c in v.sub.F.items()] == want
             return w, lmin, rmax, want
 
         w, _, _, recs = walk(self.root, 0)
         assert w == n
         assert {r[1] for r in recs} == self._x_present
-        for cid, expect in holds.items():
-            got = self.registry.refcount(cid)
-            if self._shared_registry:
-                assert got >= expect
-            else:
-                assert got == expect, f"refcount {got} != {expect} for colour {cid}"
+        # the index alone holds registry references: one per live point
+        reg = self.registry
+        reg.audit()
+        held = {c: reg.refcount(c) for c in reg.live_ids()}
+        assert held == Counter(r[2] for r in recs), "refcounts off the colours' point counts"
 
     def membership_depths(self):
         """Per-point count of substructures holding it (audit support)."""

@@ -57,12 +57,6 @@ class ColourRegistry:
         ids = {lab: self.intern(lab, n) for lab, n in Counter(labels).items()}
         return list(map(ids.__getitem__, labels))
 
-    def hold(self, cids) -> None:
-        """One more reference on each id of cids, all of them live."""
-        refcounts = self._refcounts
-        for cid in cids:
-            refcounts[cid] += 1
-
     def release(self, cid: int) -> bool:
         """Drop one reference; returns True when the id was retired."""
         if not 1 <= cid < len(self._labels) or self._labels[cid] is None:
@@ -93,13 +87,14 @@ class ColourRegistry:
         return [i for i, lab in enumerate(self._labels) if i and lab is not None]
 
     def maybe_remap(self, point_count: int) -> dict[int, int] | None:
-        """Densely reassign ids when the high-water mark exceeds 2*points.
+        """Densely reassign ids when the high-water mark exceeds 2*points
+        and some id is retired; with none retired the ids are dense.
 
         Returns the old->new mapping the owner must apply to its own
         per-id state, or None when no remap was due. New ids preserve
         the relative order of old ones.
         """
-        if self.capacity <= 2 * point_count:
+        if self.capacity <= 2 * point_count or not self._free:
             return None
         old_live = self.live_ids()
         mapping = {old: new for new, old in enumerate(old_live, start=1)}

@@ -115,17 +115,20 @@ def save(obj, path, mode: str) -> None:
     # of the same id is overwritten.
     head, tail = os.path.split(path)
     tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
-    fh = open(tmp, "w", encoding="utf-8", newline="\n")
     try:
-        with fh:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(json.dumps(header) + "\n")
             for column in _columns(obj, mode):
                 fh.write(json.dumps(column, separators=(",", ":")) + "\n")
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
+    except BaseException as exc:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        if isinstance(exc, OSError):
+            # named after the target, not the temporary file
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise
 
 

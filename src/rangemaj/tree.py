@@ -21,14 +21,14 @@ that, then the top ids by count descending and id ascending. A
 query counts its light nodes' slices and its leaves' colours as one
 joined ``array('q')`` with a ``Counter``.
 
-Every bulk build runs one core, ``_load_sorted``: keys already in
-strictly ascending order plus colour ids whose registry references the
-caller holds. It loads ``F`` and the per-colour sets from sorted runs,
-then groups each level greedily into parents and counts each heavy
-node's list from its slice of the ids, with the cyclic garbage
-collector paused. ``build`` validates, sorts and
-interns labels, then calls it; a snapshot load, the colour array's
-``from_colours`` and the planar index's heavy nodes call it directly.
+An id-level core never touches the registry: ``_load_sorted`` (keys
+in strictly ascending order and their ids), ``_insert_id`` and
+``_delete_id``. The public ``build``, ``insert`` and ``delete`` wrap it
+and hold one registry reference per point; the planar index's heavy
+x-nodes call it directly. ``_load_sorted`` fills ``F`` and the
+per-colour sets from sorted runs, then groups each level greedily into
+parents and counts each heavy node's list from its slice of the ids,
+with the cyclic garbage collector paused.
 
 A query snaps its endpoints to stored coordinates, splits the range
 into canonical nodes, accumulates candidate counts from the top few
@@ -142,7 +142,6 @@ class _Node:
         "max_leaf",
         "cand",
         "staleness",
-        "ell_at_rebuild",
         "rebuild_at",
         "rebuild_serial",
         "alive",
@@ -158,7 +157,6 @@ class _Node:
         self.max_leaf = None
         self.cand = None
         self.staleness = 0
-        self.ell_at_rebuild = 0
         self.rebuild_at = 0
         self.rebuild_serial = 0
         self.alive = True
@@ -173,7 +171,7 @@ class MajorityIndex:
     validation only; every kind answers through the same query path.
     """
 
-    def __init__(self, alpha, key_kind="int", registry=None, manage_registry=True):
+    def __init__(self, alpha, key_kind="int", registry=None):
         self.cfg = AlphaConfig.from_alpha(alpha)
         if key_kind not in ("int", "float", "object"):
             raise ValueError(f"unknown key kind {key_kind!r}")
@@ -182,7 +180,6 @@ class MajorityIndex:
         self._aq = self.cfg.alpha.denominator
         self.prune_cutoff = 2 * self.cfg.list_size
         self.registry = registry if registry is not None else ColourRegistry()
-        self._manage_registry = manage_registry
         self.scratch = ScratchCounters()
         self.F = CountedOrderedSet()
         self.F.load_sorted((), ())  # F carries the colour column
@@ -247,10 +244,10 @@ class MajorityIndex:
     # ---- bulk construction ----
 
     @classmethod
-    def build(cls, points, alpha, key_kind="int", registry=None, manage_registry=True):
+    def build(cls, points, alpha, key_kind="int", registry=None):
         """An index over (coordinate, colour label) pairs in any order;
         each point takes one registry reference for its colour."""
-        self = cls(alpha, key_kind, registry, manage_registry)
+        self = cls(alpha, key_kind, registry)
         pts = sorted((self._coord(c), lab) for c, lab in points)
         for i in range(1, len(pts)):
             if pts[i - 1][0] == pts[i][0]:
@@ -260,8 +257,7 @@ class MajorityIndex:
 
     def _load_sorted(self, keys, cids):
         """Fill this empty index from valid keys in strictly ascending
-        order and their colour ids, and return it. The caller holds the
-        registry references the ids need; nothing here interns."""
+        order and their colour ids, and return it."""
         if not keys:
             return self
         # The build allocates about one object per point, none of which
@@ -330,7 +326,6 @@ class MajorityIndex:
     def _bulk_list(self, node, seg) -> None:
         node.cand = top_colours(seg, self.cfg.list_size)
         node.staleness = 0
-        node.ell_at_rebuild = node.weight
         node.rebuild_at = rebuild_threshold(node.weight, self.cfg.beta)
 
     # ---- candidate lists ----
@@ -340,7 +335,6 @@ class MajorityIndex:
         ids = np.frombuffer(self.F.values_from(v.min_leaf.coord, v.weight), np.int64)
         v.cand = top_colours(ids, self.cfg.list_size)
         v.staleness = 0
-        v.ell_at_rebuild = v.weight
         v.rebuild_at = rebuild_threshold(v.weight, self.cfg.beta)
         v.rebuild_serial += 1
         self.stats["list_rebuilds"] += 1
@@ -453,9 +447,19 @@ class MajorityIndex:
     # ---- updates ----
 
     def insert(self, x, colour) -> None:
-        x = self._coord(x)
         # one probe of F, which interns the colour only for a new x
-        cid = self.F.insert(x, lambda: self.registry.intern(colour))
+        self._insert_id(self._coord(x), lambda: self.registry.intern(colour))
+
+    def delete(self, x) -> None:
+        self.registry.release(self._delete_id(self._coord(x)))
+        mapping = self.registry.maybe_remap(len(self.F))
+        if mapping:
+            self._apply_remap(mapping)
+
+    def _insert_id(self, x, make_cid) -> None:
+        """Store the valid key x with the colour id make_cid() gives,
+        which is called only when x is not stored yet."""
+        cid = self.F.insert(x, make_cid)
         if cid is None:
             raise DuplicateKeyError(x)
         pc = self.per_colour.get(cid)
@@ -507,9 +511,10 @@ class MajorityIndex:
             else:
                 self._upkeep_insert(v, cid)
 
-    def delete(self, x) -> None:
-        x = self._coord(x)
-        cid = self.F.delete(x)  # KeyError(x) when x is not stored
+    def _delete_id(self, x) -> int:
+        """Remove the valid key x and return its colour id (KeyError(x)
+        when x is not stored)."""
+        cid = self.F.delete(x)
         path = []
         cur = self.root
         while cur.height:
@@ -522,7 +527,6 @@ class MajorityIndex:
         pc.delete(x)
         if not len(pc):
             del self.per_colour[cid]
-        self.registry.release(cid)
         cur.alive = False
 
         if not path:
@@ -545,11 +549,7 @@ class MajorityIndex:
                     self._fix_underflow(v)
                 else:
                     self._upkeep_delete(v, cid)
-
-        if self._manage_registry:
-            mapping = self.registry.maybe_remap(len(self.F))
-            if mapping:
-                self._apply_remap(mapping)
+        return cid
 
     def relabel(self, old_keys, new_keys) -> None:
         """Rename the stored keys old_keys to new_keys in place.
@@ -827,7 +827,19 @@ class MajorityIndex:
     # ---- debug audits ----
 
     def audit_tree(self, deep=False) -> None:
-        """Structural invariants; deep adds exact recounts of fresh lists."""
+        """``audit_structure``, plus the checks of an index that holds its
+        registry's references: one per point, ids dense in [1, 2n]."""
+        self.audit_structure(deep)
+        reg = self.registry
+        reg.audit()
+        assert reg.capacity <= 2 * len(self.F)
+        assert {c: reg.refcount(c) for c in reg.live_ids()} == {
+            c: len(pc) for c, pc in self.per_colour.items()
+        }, "refcounts off the colours' point counts"
+
+    def audit_structure(self, deep=False) -> None:
+        """Structural invariants, every colour id live in the registry;
+        deep adds exact recounts of fresh lists."""
         self.scratch.audit_zero()
         if self.root is None:
             assert len(self.F) == 0
@@ -907,9 +919,6 @@ class MajorityIndex:
             self.F.audit()
             for pc in self.per_colour.values():
                 pc.audit()
-        if self._manage_registry:
-            self.registry.audit()
-            assert self.registry.capacity <= 2 * len(self.F)
 
     def leaves(self):
         """All leaves left to right (test support)."""

@@ -127,6 +127,84 @@ class TestBuild:
         assert rc == 2
         assert "line 2" in err
 
+    def test_int_past_the_bound_names_line(self, capsys, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text("1,a\n%d,b\n" % (1 << 63), encoding="utf-8")
+        rc, _, err = run_cli(capsys, "build", "--input", str(path), "--mode", "int")
+        assert rc == 2 and err.startswith("error: line 2: ") and err.count("\n") == 1
+
+    def test_duplicate_named_in_file_order(self, capsys, tmp_path):
+        path = tmp_path / "dup.csv"
+        path.write_text("9,a\n5,b\n9,c\n5,d\n", encoding="utf-8")
+        rc, _, err = run_cli(capsys, "build", "--input", str(path), "--mode", "int")
+        assert rc == 3
+        assert err == "error: line 3: coordinate 9 already used on line 1\n"
+
+    @pytest.mark.parametrize("mode", ["int", "real"])
+    def test_each_point_checked_once(self, capsys, tmp_path, monkeypatch, mode):
+        path = tmp_path / "e.csv"
+        path.write_text("".join("%d,c%d\n" % (i * 7 % 20, i % 3) for i in range(20)),
+                        encoding="utf-8")
+        calls = []
+        coord = MajorityIndex._coord
+
+        def spy(self, x):
+            calls.append(x)
+            return coord(self, x)
+
+        monkeypatch.setattr(MajorityIndex, "_coord", spy)
+        rc, out, _ = run_cli(capsys, "build", "--input", str(path), "--mode", mode)
+        assert rc == 0 and json.loads(out)["n"] == 20
+        assert len(calls) == 20
+
+
+def assert_one_error_line(err, *names):
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    for name in names:
+        assert name in err
+
+
+class TestFileErrors:
+    """OS and decoding errors end in exit 2 and one line naming the path."""
+
+    def test_query_snapshot_is_a_directory(self, capsys, tmp_path):
+        rc, out, err = run_cli(capsys, "query", "--snapshot", str(tmp_path), "1", "2")
+        assert rc == 2 and out == ""
+        assert_one_error_line(err, str(tmp_path))
+
+    def test_build_input_is_a_directory(self, capsys, tmp_path):
+        rc, out, err = run_cli(capsys, "build", "--input", str(tmp_path))
+        assert rc == 2 and out == ""
+        assert_one_error_line(err, str(tmp_path))
+
+    @pytest.mark.parametrize("name", ["bad.csv", "bad.jsonl"])
+    def test_build_input_not_utf8(self, capsys, tmp_path, name):
+        path = tmp_path / name
+        good = b"1,a\n" if name.endswith(".csv") else b'{"t": 1, "c": "a"}\n'
+        path.write_bytes(good + b"2,\xff\xfe\n")
+        rc, out, err = run_cli(capsys, "build", "--input", str(path))
+        assert rc == 2 and out == ""
+        assert_one_error_line(err, str(path), "UTF-8")
+
+    def test_replay_input_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "st.jsonl"
+        path.write_bytes(b'{"op": "insert", "t": 1, "c": "r"}\n{"op": "\xc3"}\n')
+        rc, out, err = run_cli(capsys, "replay", "--input", str(path))
+        assert rc == 2 and out == ""
+        assert_one_error_line(err, str(path), "UTF-8")
+
+    @pytest.mark.parametrize("target", ["missing_dir/x.snap", "."])
+    def test_build_snapshot_unwritable_names_target(self, capsys, tmp_path,
+                                                    events_csv, target):
+        # a missing directory, and a target that is a directory
+        snap = str(tmp_path / target)
+        rc, out, err = run_cli(capsys, "build", "--input", events_csv, "--snapshot", snap)
+        assert rc == 2 and out == ""
+        assert_one_error_line(err, snap)
+        assert ".tmp" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["events.csv"]
+
 
 class TestQuery:
     def test_majority_reported_with_fraction(self, capsys, tmp_path, events_csv):
@@ -192,6 +270,9 @@ class TestQuery:
         assert jlines(out) == [{"colour": "a", "count": 2, "fraction": 1.0, "m": 2}]
         rc, _, err = run_cli(capsys, "query", "--snapshot", snap, "true", "3")
         assert rc == 2 and "true" in err
+        # an integer past the doubles' range is refused, not a traceback
+        rc, _, err = run_cli(capsys, "query", "--snapshot", snap, "1", "9" * 400)
+        assert rc == 2 and err.startswith("error: non-finite coordinate")
 
     def test_bad_bounds_exit_2(self, capsys, tmp_path, events_csv):
         snap = str(tmp_path / "s.jsonl")

@@ -3,12 +3,15 @@
 Inserts, deletes, queries, forced registry remaps and (for the kinds a
 snapshot stores) a save-and-load round trip run in random interleavings
 against a plain dict; after every step the column equals the leaves'
-colours in order, and every query equals a brute-force count.
+colours in order, each live colour holds one registry reference per
+point of that colour (forced remaps included), and every query equals a
+brute-force count.
 """
 
 import os
 import random
 import tempfile
+from collections import Counter
 
 import pytest
 from hypothesis import settings
@@ -115,7 +118,12 @@ def machine_for(kind):
             leaves = list(self.idx.leaves())
             assert [c for _, c in self.idx.F.items()] == [lf.colour for lf in leaves]
             assert [lf.coord for lf in leaves] == sorted(self.ref)
+            # audit_tree checks refcount(c) == len(per_colour[c]) for every
+            # live id; the model checks the same by label
             self.idx.audit_tree()
+            reg = self.idx.registry
+            held = {reg.label_of(c): reg.refcount(c) for c in reg.live_ids()}
+            assert held == Counter(self.ref.values())
 
     ColumnMachine.__name__ = f"ColumnMachine_{kind}"
     return ColumnMachine

@@ -10,7 +10,6 @@ from rangemaj.errors import DuplicateKeyError
 from rangemaj.oracle import NaiveStore2D, naive_majority_2d
 from rangemaj.params import AlphaConfig
 from rangemaj.planar import MajorityIndex2D
-from rangemaj.registry import ColourRegistry
 from rangemaj.tree import MajorityIndex
 
 
@@ -197,18 +196,18 @@ class TestStructure:
     @staticmethod
     def _assert_sub_matches_label_build(idx, sub, points):
         # the sub-index a heavy node builds from colour ids equals a label
-        # build of the node's (y, x, label) points: same F, per-colour
-        # sets and lists
+        # build of the node's (y, x, label) points on the same registry:
+        # same F, per-colour sets and lists
         reg = idx.registry
         ref = MajorityIndex.build([((y, x), label) for y, x, label in points], idx.alpha,
-                                  "object", registry=reg, manage_registry=False)
+                                  "object", registry=reg)
         try:
             assert list(sub.F.items()) == list(ref.F.items())
             assert ({c: list(pc) for c, pc in sub.per_colour.items()}
                     == {c: list(pc) for c, pc in ref.per_colour.items()})
             assert ([(v.weight, v.cand and list(v.cand.items())) for v in sub.internal_nodes()]
                     == [(v.weight, v.cand and list(v.cand.items())) for v in ref.internal_nodes()])
-            sub.audit_tree(deep=True)
+            sub.audit_structure(deep=True)
         finally:
             for _, c in ref.F.items():  # the reference build's holds
                 reg.release(c)
@@ -224,7 +223,7 @@ class TestStructure:
         for v in heavy:
             leaves = []
             idx._gather_ordered(v, leaves)
-            points = [(lf.y, lf.x, lf.label) for lf in leaves]
+            points = [(lf.y, lf.x, idx.registry.label_of(lf.cid)) for lf in leaves]
             self._assert_sub_matches_label_build(idx, v.sub, points)
         idx.audit2d()
 
@@ -395,18 +394,3 @@ class TestMemory:
             tracemalloc.stop()
         assert len(idx) == n
         assert held / n < 4_000, f"{held / n:.0f} bytes per point"
-
-
-class TestSharedRegistry:
-    def test_external_registry_survives_audit(self):
-        reg = ColourRegistry()
-        reg.intern("outsider")
-        idx = MajorityIndex2D("1/2", registry=reg)
-        for i in range(50):
-            idx.insert(i, i % 7, "c%d" % (i % 3))
-        idx.audit2d()
-        assert reg.label_of(reg.id_of("outsider")) == "outsider"
-        for i in range(50):
-            idx.delete(i)
-        idx.audit2d()
-        assert reg.id_of("outsider") is not None

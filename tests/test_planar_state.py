@@ -2,17 +2,20 @@
 
 Inserts, deletes, rectangle queries and the two counting layers run in
 random interleavings against ``NaiveStore2D``, with ``audit2d`` after
-every step. Two bulk rules move the whole index across the light
+every step, and after every step each live colour holds exactly one
+registry reference per live point of that colour. Two bulk rules move the whole index across the light
 cutoff L: ``grow`` doubles every x-span until more than 2L points are
 stored, and ``drain`` halves them until at most L/2 are left. Both keep
 the x-tree balanced, so the nodes convert in place (light to heavy, and
-back) instead of being rebuilt by a scapegoat step. A snapshot round
+back) instead of being rebuilt by a scapegoat step; the random inserts
+and deletes set off scapegoat rebuilds. A snapshot round
 trip saves the index, loads it, checks the copy and carries on with it.
 """
 
 import os
 import random
 import tempfile
+from collections import Counter
 
 import pytest
 from hypothesis import settings
@@ -48,7 +51,7 @@ def point_at(x):
 
 
 class PlanarMachine(RuleBasedStateMachine):
-    conversions = {"to_heavy": 0, "to_light": 0}
+    moved = {"to_heavy": 0, "to_light": 0, "rebuilds": 0}
 
     @initialize(n=st.integers(0, 120), seed=st.integers(0, 2**16))
     def build(self, n, seed):
@@ -56,13 +59,13 @@ class PlanarMachine(RuleBasedStateMachine):
         pts = [point_at(i * SPACE) for i in rng.sample(range(200), n)]
         self.idx = MajorityIndex2D.build(pts, "1/2")
         self.ref = NaiveStore2D()
-        self.xs = set()
+        self.xs = {}  # x -> colour label
         for x, y, label in pts:
             self._mirror_insert(x, y, label)
 
     def _mirror_insert(self, x, y, label):
         self.ref.insert(x, y, label)
-        self.xs.add(x)
+        self.xs[x] = label
 
     def _insert(self, x, y, label):
         self.idx.insert(x, y, label)
@@ -71,7 +74,7 @@ class PlanarMachine(RuleBasedStateMachine):
     def _delete(self, x):
         self.idx.delete(x)
         self.ref.delete(x)
-        self.xs.discard(x)
+        del self.xs[x]
 
     @rule(x=XS, y=YS, i=st.integers(0, 25))
     def insert(self, x, y, i):
@@ -137,7 +140,7 @@ class PlanarMachine(RuleBasedStateMachine):
         for x1, x2, y1, y2 in boxes + [(-1, X_MAX + 1, -1, Y_SPAN)]:
             box = min(x1, x2), max(x1, x2), min(y1, y2), max(y1, y2)
             assert loaded.query_counts(*box) == self.idx.query_counts(*box)
-        self._count_conversions()
+        self._count_moves()
         self.idx = loaded
 
     @invariant()
@@ -145,23 +148,31 @@ class PlanarMachine(RuleBasedStateMachine):
         self.idx.audit2d()
         assert len(self.idx) == len(self.xs)
 
-    def _count_conversions(self):
-        for k in self.conversions:
-            self.conversions[k] += self.idx.stats[k]
+    @invariant()
+    def one_reference_per_point(self):
+        reg = self.idx.registry
+        held = {reg.label_of(c): reg.refcount(c) for c in reg.live_ids()}
+        assert held == Counter(self.xs.values())
+
+    def _count_moves(self):
+        for k in self.moved:
+            self.moved[k] += self.idx.stats[k]
 
     def teardown(self):
         if hasattr(self, "idx"):
-            self._count_conversions()
+            self._count_moves()
 
 
 def test_planar_state_machine_converts_both_ways():
-    PlanarMachine.conversions = {"to_heavy": 0, "to_light": 0}
+    PlanarMachine.moved = {"to_heavy": 0, "to_light": 0, "rebuilds": 0}
     run_state_machine_as_test(
         PlanarMachine,
         settings=settings(
             max_examples=10, stateful_step_count=25, deadline=None, derandomize=True
         ),
     )
-    # the bulk rules took nodes across the cutoff, both ways, in place
-    assert PlanarMachine.conversions["to_heavy"] >= 1
-    assert PlanarMachine.conversions["to_light"] >= 1
+    # the bulk rules took nodes across the cutoff, both ways, in place,
+    # and single updates rebuilt scapegoat subtrees
+    assert PlanarMachine.moved["to_heavy"] >= 1
+    assert PlanarMachine.moved["to_light"] >= 1
+    assert PlanarMachine.moved["rebuilds"] >= 1

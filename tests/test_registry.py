@@ -36,6 +36,19 @@ def test_fresh_labels_stay_within_twice_points():
     assert reg.capacity <= 2 * n
 
 
+def test_no_remap_without_a_retired_id():
+    # ids held elsewhere push the high-water mark past 2*points, but with
+    # no retired id a remap would be the identity
+    reg = ColourRegistry()
+    for i in range(50):
+        reg.intern(f"c{i}")
+    assert reg.maybe_remap(1) is None
+    reg.release(reg.id_of("c7"))
+    mapping = reg.maybe_remap(1)
+    assert mapping is not None and reg.capacity == 49
+    assert 8 not in mapping and mapping[9] == 8 and mapping[50] == 49
+
+
 def test_release_retires_and_reuses():
     reg = ColourRegistry()
     a = reg.intern("x")

@@ -355,24 +355,20 @@ class TestRebuildEquivalence:
     def test_rebuilt_lists_match_counter(self, sparse, alpha, n, colours, updates, seed):
         rng = random.Random(seed)
         registry = ColourRegistry()
-        if sparse:
-            # Ids far above any slice length: 50,000 labels interned first
-            # hold the low ids, and without registry management no remap
-            # pulls the points' ids down after they are released.
-            dummies = [registry.intern(("dummy", i)) for i in range(50_000)]
+        dummies = [("dummy", i) for i in range(50_000 if sparse else 0)]
+        # Ids far above any slice length: 50,000 labels interned first
+        # hold the low ids until the lists are checked. A remap after a
+        # delete keeps the order of the ids, so it leaves the points'
+        # ids above 50,000.
+        for label in dummies:
+            registry.intern(label)
         skew = rng.random() * 3
 
         def colour():
             return "c%d" % int(colours * rng.random() ** (1 + skew))
 
         coords = rng.sample(range(20 * n), n)
-        idx = MajorityIndex.build(
-            [(x, colour()) for x in coords], alpha,
-            registry=registry, manage_registry=not sparse,
-        )
-        if sparse:
-            for cid in dummies:
-                registry.release(cid)
+        idx = MajorityIndex.build([(x, colour()) for x in coords], alpha, registry=registry)
         live = set(coords)
         for _ in range(updates):
             if rng.random() < 0.5 and live:
@@ -400,6 +396,10 @@ class TestRebuildEquivalence:
         assert unique.called == sparse
         if len(idx) >= 2 * TARGET_BLOCK:
             assert crossed, "no rebuilt slice crossed a block boundary"
+        for label in dummies:
+            registry.release(registry.id_of(label))
+        if dummies:
+            idx._apply_remap(registry.maybe_remap(len(idx)))
         idx.audit_tree(deep=True)
 
 
