@@ -1,6 +1,14 @@
 """Command line front end: build/query/replay over event logs, plus a
 selftest entry point.
 
+The front end turns text into numbers and errors into exit codes; the
+structures decide everything else. ``build`` and ``query`` read each
+coordinate or bound with ``_number`` (an int when the text reads as
+one, else a float), ``replay`` passes its JSON values as they are, and
+the structure's own checks decide what is valid: a bound the library
+takes, such as an infinite one in ``real`` and ``2d`` mode, the CLI
+takes too. ``query`` and a replayed query answer through ``_window``.
+
 Exit codes: 0 ok, 1 verification failure, 2 input error (malformed or
 non-UTF-8 input, or a path that cannot be opened), 3 constraint
 violation (duplicate or missing coordinate); never a traceback.
@@ -12,7 +20,6 @@ import argparse
 import csv
 import json
 import logging
-import math
 import os
 import sys
 from fractions import Fraction
@@ -23,7 +30,7 @@ from .errors import DuplicateKeyError
 from .fuzz import FuzzDriver, LemmaAuditError
 from .planar import MajorityIndex2D
 from .snapshot import SnapshotError, parse_alpha
-from .tree import MajorityIndex, _as_float
+from .tree import MajorityIndex
 
 log = logging.getLogger("rangemaj")
 
@@ -58,53 +65,48 @@ def _number(text):
     raise ValueError(f"bad coordinate {s!r}")
 
 
-def _coord(text, mode: str, lineno: int = 0):
-    where = f"line {lineno}: " if lineno else ""
-    try:
-        val = _number(text)
-    except ValueError as exc:
-        raise InputError(f"{where}{exc}") from None
-    if mode == "int":
-        if isinstance(val, float):
-            raise InputError(f"{where}integer coordinate expected, got {val!r}")
-        return val
-    out = _as_float(val, "coordinate")  # an int past the doubles' range is infinite
-    if not math.isfinite(out):
-        raise InputError(f"{where}non-finite coordinate {out!r}")
-    return out
-
-
 def _iter_csv(path: str, skip_header: bool):
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        for row in reader:
-            lineno = reader.line_num
-            if skip_header and lineno == 1:
-                continue
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) < 2:
-                raise InputError(f"line {lineno}: need timestamp,category")
-            y = row[2].strip() if len(row) > 2 and row[2].strip() else None
-            yield lineno, row[0].strip(), row[1].strip(), y
+        try:
+            for row in reader:
+                lineno = reader.line_num
+                if skip_header and lineno == 1:
+                    continue
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if len(row) < 2:
+                    raise InputError(f"line {lineno}: need timestamp,category")
+                y = row[2].strip() if len(row) > 2 and row[2].strip() else None
+                yield lineno, row[0].strip(), row[1].strip(), y
+        except csv.Error as exc:  # e.g. a field past the csv module's size limit
+            raise InputError(f"line {reader.line_num}: {exc}") from None
 
 
-def _iter_jsonl(path: str):
+def _records(path: str):
+    """(line number, object) for each non-blank line of a JSONL file."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
                 rec = json.loads(line)
-            except json.JSONDecodeError as exc:
+            # ValueError also covers an integer past the interpreter's
+            # digit limit; RecursionError, arrays nested too deep
+            except (ValueError, RecursionError) as exc:
                 raise InputError(f"line {lineno}: bad JSON ({exc})") from None
             if not isinstance(rec, dict):
                 raise InputError(f"line {lineno}: expected a JSON object")
-            t = rec.get("timestamp", rec.get("t"))
-            c = rec.get("category", rec.get("c"))
-            if c is None:
-                raise InputError(f"line {lineno}: missing category")
-            yield lineno, t, str(c), rec.get("y")
+            yield lineno, rec
+
+
+def _iter_jsonl(path: str):
+    for lineno, rec in _records(path):
+        t = rec.get("timestamp", rec.get("t"))
+        c = rec.get("category", rec.get("c"))
+        if c is None:
+            raise InputError(f"line {lineno}: missing category")
+        yield lineno, t, str(c), rec.get("y")
 
 
 def _read_events(path: str, fmt: str | None, skip_header: bool):
@@ -126,44 +128,56 @@ def _build_object(args):
         colours = (c for _lineno, _t, c, _y in events)
         return DynamicColourArray.from_colours(colours, alpha), alpha
 
-    if mode == "2d":
-        pts = []
-        for lineno, t, c, y in events:
-            if t is None:
-                raise InputError(f"line {lineno}: missing timestamp")
-            if y is None:
-                raise InputError(f"line {lineno}: 2-D mode needs a second coordinate")
-            pts.append((_coord(t, "real", lineno), _coord(y, "real", lineno), c))
-        return MajorityIndex2D.build(pts, alpha), alpha
-
     pts = []
     lines = []
-    for lineno, t, c, _y in events:
+    for lineno, t, c, y in events:
         if t is None:
             raise InputError(f"line {lineno}: missing timestamp")
+        if mode == "2d" and y is None:
+            raise InputError(f"line {lineno}: 2-D mode needs a second coordinate")
         try:
-            pts.append((_number(t), c))
+            pts.append((_number(t), _number(y), c) if mode == "2d" else (_number(t), c))
         except ValueError as exc:
             raise InputError(f"line {lineno}: {exc}") from None
         lines.append(lineno)
-    kind = "float" if mode == "real" else mode
     try:
-        return MajorityIndex.build(pts, alpha, key_kind=kind), alpha
+        if mode == "2d":
+            return MajorityIndex2D.build(pts, alpha), alpha
+        return MajorityIndex.build(pts, alpha, snap_mod.KEY_KINDS[mode]), alpha
     except ValueError:
         # the build checks each point once; on a failure, find the first
         # bad line in file order
-        check, seen = MajorityIndex(alpha, kind)._coord, {}
-        for (t, _), lineno in zip(pts, lines):
-            try:
-                x = check(t)
-            except ValueError as exc:
-                raise InputError(f"line {lineno}: {exc}") from None
-            if x in seen:
-                raise DuplicateKeyError(
-                    f"line {lineno}: coordinate {x!r} already used on line {seen[x]}"
-                ) from None
-            seen[x] = lineno
+        _raise_first_bad_line(pts, lines, mode, alpha)
         raise
+
+
+def _raise_first_bad_line(pts, lines, mode: str, alpha) -> None:
+    """Raise the error of the first point, in file order, that the
+    structure's own checks refuse, named by its line."""
+    if mode == "2d":
+        num = MajorityIndex2D._num
+
+        def key(p):
+            x = num(p[0], "x-coordinate")
+            num(p[1], "y-coordinate")
+            return x
+    else:
+        coord = snap_mod.empty(mode, alpha)._coord
+
+        def key(p):
+            return coord(p[0])
+
+    seen = {}
+    for p, lineno in zip(pts, lines):
+        try:
+            x = key(p)
+        except ValueError as exc:
+            raise InputError(f"line {lineno}: {exc}") from None
+        if x in seen:
+            raise DuplicateKeyError(
+                f"line {lineno}: coordinate {x!r} already used on line {seen[x]}"
+            )
+        seen[x] = lineno
 
 
 def _summary(obj, mode: str, alpha: Fraction) -> dict:
@@ -194,44 +208,38 @@ def cmd_build(args) -> int:
 
 # ---- query ----
 
-def _query_m(obj, mode: str, bounds) -> int:
-    if mode == "array":
-        i, j = bounds
-        return j - i + 1
-    if mode == "2d":
-        return obj.rect_count(*bounds)
-    lo, hi = bounds
-    return obj.F.count_range(lo, hi)
+def _bound_fields(mode: str) -> tuple:
+    """The names of a query's bounds in mode, in order."""
+    return ("lo", "hi", "ylo", "yhi") if mode == "2d" else ("lo", "hi")
+
+
+def _window(obj, mode: str, bounds, where: str = "") -> tuple[dict, int]:
+    """The strict alpha-majorities of one query window with their counts,
+    and the window's point count m. The structure checks the bounds."""
+    try:
+        counts = obj.query_counts(*bounds)
+        if mode == "array":
+            i, j = bounds
+            m = max(j - i + 1, 0)
+        elif mode == "2d":
+            m = obj.rect_count(*bounds)
+        else:
+            m = obj.F.count_range(*bounds)
+    except (ValueError, TypeError, IndexError) as exc:
+        raise InputError(f"{where}{exc}") from None
+    return counts, m
 
 
 def cmd_query(args) -> int:
     obj, mode = snap_mod.load(args.snapshot)
-    vals = args.bounds
-    if mode == "2d":
-        if len(vals) != 4:
-            raise InputError("2-D query needs lo hi ylo yhi")
-        bounds = tuple(_coord(v, "real") for v in vals)
-        counts = obj.query_counts(*bounds)  # {} for an inverted rectangle
-    elif mode == "array":
-        if len(vals) != 2:
-            raise InputError("array query needs positions i j")
-        try:
-            i, j = (int(str(v), 10) for v in vals)
-        except ValueError as exc:
-            raise InputError(f"bad position: {exc}") from None
-        try:
-            counts = obj.query_counts(i, j)
-        except IndexError as exc:
-            raise InputError(str(exc)) from None
-        bounds = (i, j)
-    else:
-        if len(vals) != 2:
-            raise InputError("query needs bounds lo hi")
-        lo = _coord(vals[0], mode)
-        hi = _coord(vals[1], mode)
-        bounds = (lo, hi)
-        counts = obj.query_counts(lo, hi) if lo <= hi else {}
-    m = _query_m(obj, mode, bounds) if counts else 0
+    fields = _bound_fields(mode)
+    if len(args.bounds) != len(fields):
+        raise InputError(f"{mode} query needs bounds {' '.join(fields)}")
+    try:
+        bounds = [_number(v) for v in args.bounds]
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
+    counts, m = _window(obj, mode, bounds)
     for colour in sorted(counts):
         cnt = counts[colour]
         print(json.dumps(
@@ -242,116 +250,79 @@ def cmd_query(args) -> int:
 
 # ---- replay ----
 
-def _replay_query(obj, mode: str, rec, lineno: int) -> tuple[dict, int]:
-    if mode == "array":
-        i, j = rec.get("lo"), rec.get("hi")
-        if not isinstance(i, int) or not isinstance(j, int):
-            raise InputError(f"line {lineno}: array query needs integer lo/hi")
-        try:
-            counts = obj.query_counts(i, j)
-        except IndexError as exc:
-            raise InputError(f"line {lineno}: {exc}") from None
-        return counts, max(j - i + 1, 0)
-    if mode == "2d":
-        try:
-            box = (rec["lo"], rec["hi"], rec["ylo"], rec["yhi"])
-        except KeyError as exc:
-            raise InputError(f"line {lineno}: query missing {exc}") from None
-        counts = obj.query_counts(*box)
-        return counts, obj.rect_count(*box)
-    lo, hi = rec.get("lo"), rec.get("hi")
-    if lo is None or hi is None:
-        raise InputError(f"line {lineno}: query needs lo and hi")
-    counts = obj.query_counts(lo, hi)
-    return counts, obj.F.count_range(lo, hi)
-
-
 def cmd_replay(args) -> int:
-    alpha = parse_alpha(args.alpha)
-    mode = args.mode
+    # a flag beats the stream's config record, which beats the default
+    alpha = parse_alpha("1/2" if args.alpha is None else args.alpha)
+    mode = args.mode or "int"
     obj = None
     failures = 0
     qnum = 0
-    with open(args.input, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise InputError(f"line {lineno}: bad JSON ({exc})") from None
-            if not isinstance(rec, dict) or "op" not in rec:
-                raise InputError(f"line {lineno}: record needs an 'op' field")
-            op = rec["op"]
+    for lineno, rec in _records(args.input):
+        where = f"line {lineno}: "
+        if "op" not in rec:
+            raise InputError(f"{where}record needs an 'op' field")
+        op = rec["op"]
 
+        def need(field):
+            if field not in rec:
+                raise InputError(f"{where}op {op!r} needs field {field!r}")
+            return rec[field]
+
+        try:
             if op == "config":
                 if obj is not None:
-                    raise InputError(f"line {lineno}: config must precede ops")
-                if "alpha" in rec and not args.alpha_given:
+                    raise InputError(f"{where}config must precede ops")
+                if "alpha" in rec and args.alpha is None:
                     alpha = parse_alpha(rec["alpha"])
-                if "mode" in rec and not args.mode_given:
+                if "mode" in rec and args.mode is None:
                     mode = rec["mode"]
                     if mode not in snap_mod.MODES:
-                        raise InputError(f"line {lineno}: unknown mode {mode!r}")
+                        raise InputError(f"{where}unknown mode {mode!r}")
                 continue
-
             if obj is None:
+                obj = snap_mod.empty(mode, alpha)
+
+            if op == "insert":
                 if mode == "array":
-                    obj = DynamicColourArray(alpha)
+                    obj.insert(rec.get("i", len(obj) + 1), str(need("c")))
                 elif mode == "2d":
-                    obj = MajorityIndex2D(alpha)
+                    obj.insert(need("t"), need("y"), str(need("c")))
                 else:
-                    obj = MajorityIndex(
-                        alpha, key_kind="float" if mode == "real" else mode
-                    )
-
-            def need(field):
-                if field not in rec:
-                    raise InputError(f"line {lineno}: op {op!r} needs field {field!r}")
-                return rec[field]
-
-            try:
-                if op == "insert":
-                    if mode == "array":
-                        i = rec.get("i", len(obj) + 1)
-                        obj.insert(i, str(need("c")))
-                    elif mode == "2d":
-                        obj.insert(need("t"), need("y"), str(need("c")))
-                    else:
-                        obj.insert(need("t"), str(need("c")))
-                elif op == "delete":
-                    obj.delete(need("i") if mode == "array" else need("t"))
-                elif op == "modify":
-                    if mode == "array":
-                        obj.modify(need("i"), str(need("c")))
-                    elif mode == "2d":
-                        raise InputError(f"line {lineno}: modify unsupported in 2-D replay")
-                    else:
-                        t, c = need("t"), str(need("c"))
-                        obj.delete(t)
-                        obj.insert(t, c)
-                elif op == "query":
-                    qnum += 1
-                    counts, m = _replay_query(obj, mode, rec, lineno)
-                    out = {"q": qnum, "line": lineno, "m": m, "result": counts}
-                    if "expect" in rec:
-                        want = rec["expect"]
-                        if isinstance(want, dict):
-                            ok = {str(k): v for k, v in want.items()} == counts
-                        else:
-                            ok = set(map(str, want)) == set(counts)
-                        out["ok"] = ok
-                        if not ok:
-                            failures += 1
-                    print(json.dumps(out))
+                    obj.insert(need("t"), str(need("c")))
+            elif op == "delete":
+                obj.delete(need("i") if mode == "array" else need("t"))
+            elif op == "modify":
+                if mode == "array":
+                    obj.modify(need("i"), str(need("c")))
+                elif mode == "2d":
+                    raise InputError(f"{where}modify unsupported in 2-D replay")
                 else:
-                    raise InputError(f"line {lineno}: unknown op {op!r}")
-            except DuplicateKeyError as exc:
-                raise DuplicateKeyError(f"line {lineno}: {exc}") from None
-            except KeyError as exc:
-                raise KeyError(f"line {lineno}: {exc.args[0]}") from None
-            except (TypeError, ValueError) as exc:
-                raise InputError(f"line {lineno}: {exc}") from None
+                    t, c = need("t"), str(need("c"))
+                    obj.delete(t)
+                    obj.insert(t, c)
+            elif op == "query":
+                qnum += 1
+                bounds = [need(f) for f in _bound_fields(mode)]
+                counts, m = _window(obj, mode, bounds, where)
+                out = {"q": qnum, "line": lineno, "m": m, "result": counts}
+                if "expect" in rec:
+                    want = rec["expect"]
+                    if isinstance(want, dict):
+                        ok = {str(k): v for k, v in want.items()} == counts
+                    else:
+                        ok = set(map(str, want)) == set(counts)
+                    out["ok"] = ok
+                    if not ok:
+                        failures += 1
+                print(json.dumps(out))
+            else:
+                raise InputError(f"{where}unknown op {op!r}")
+        except DuplicateKeyError as exc:
+            raise DuplicateKeyError(f"{where}{exc}") from None
+        except KeyError as exc:
+            raise KeyError(f"{where}{exc.args[0]}") from None
+        except (TypeError, ValueError, IndexError) as exc:
+            raise InputError(f"{where}{exc}") from None
     if failures:
         print(f"error: {failures} of {qnum} replayed queries mismatched",
               file=sys.stderr)
@@ -414,8 +385,9 @@ def _parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("replay", help="apply a JSONL op stream")
     r.add_argument("--input", required=True)
-    r.add_argument("--alpha", default="1/2")
-    r.add_argument("--mode", choices=snap_mod.MODES, default="int")
+    r.add_argument("--alpha", help="default: the config record's, else 1/2")
+    r.add_argument("--mode", choices=snap_mod.MODES,
+                   help="default: the config record's, else int")
     r.set_defaults(fn=cmd_replay)
 
     st = sub.add_parser("selftest", help="oracle-equivalence and bound audits")
@@ -428,10 +400,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     level = os.environ.get("RANGE_MAJ_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
-    argv = sys.argv[1:] if argv is None else list(argv)
     args = _parser().parse_args(argv)
-    args.alpha_given = any(a == "--alpha" or a.startswith("--alpha=") for a in argv)
-    args.mode_given = any(a == "--mode" or a.startswith("--mode=") for a in argv)
     log.debug("command %s", args.command)
     try:
         return args.fn(args)

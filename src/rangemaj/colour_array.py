@@ -133,7 +133,7 @@ class DynamicColourArray:
 
     def _check_pos(self, i: int, hi: int) -> None:
         if isinstance(i, bool) or not isinstance(i, int) or not 1 <= i <= hi:
-            raise IndexError(f"position {i} out of range [1, {hi}]")
+            raise IndexError(f"position {i!r} out of range [1, {hi}]")
 
     def insert(self, i: int, colour) -> None:
         """Insert colour between positions i-1 and i (1 <= i <= n+1)."""

@@ -197,30 +197,6 @@ class NaiveStore2D:
         return {label for label, f in counts.items() if f * q > p * m}
 
 
-def naive_span(node):
-    """(min coord, max coord) of a subtree by direct recursion."""
-    if node.children is None:
-        return node.coord, node.coord
-    lo, _ = naive_span(node.children[0])
-    _, hi = naive_span(node.children[-1])
-    return lo, hi
-
-
-def naive_decompose(node, lo, hi) -> list:
-    """Maximal nodes whose spans sit inside [lo, hi], by direct recursion."""
-    span_lo, span_hi = naive_span(node)
-    if lo <= span_lo and span_hi <= hi:
-        return [node]
-    if node.children is None:
-        return []
-    out = []
-    for child in node.children:
-        c_lo, c_hi = naive_span(child)
-        if c_hi >= lo and c_lo <= hi:
-            out.extend(naive_decompose(child, lo, hi))
-    return out
-
-
 def naive_lca(a, b):
     """Lowest common ancestor by plain parent walks."""
     seen = set()

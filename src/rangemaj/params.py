@@ -2,9 +2,8 @@
 
 All derived quantities (the relaxed per-node threshold beta, candidate list
 sizes, rebuild budgets, the level cut-off) live here so each formula is
-independently testable. Ceilings are evaluated with exact integer
-predicates; a float is only ever used to seed a guess that is then corrected
-by exact comparison, so boundary inputs land on the correct side.
+independently testable. Ceilings are evaluated in exact integer
+arithmetic, with no floats, so boundary inputs land on the correct side.
 """
 
 from __future__ import annotations
@@ -69,19 +68,10 @@ def stored_list_size(beta: RationalLike) -> int:
     b = _check_beta(beta)
     p, q = b.numerator, b.denominator
     # ceil of ((q-p) + sqrt(q(q-p))) / p, taken exactly: n is large enough
-    # iff t = n*p - (q-p) satisfies t >= 0 and t*t >= q(q-p).
-    s = q * (q - p)
-
-    def big_enough(n: int) -> bool:
-        t = n * p - (q - p)
-        return t >= 0 and t * t >= s
-
-    n = max(1, int((q - p + math.sqrt(s)) / p))
-    while not big_enough(n):
-        n += 1
-    while n > 1 and big_enough(n - 1):
-        n -= 1
-    return n
+    # iff n*p - (q-p) >= sqrt(q(q-p)), which for an integer left side holds
+    # iff it is >= the integer ceiling of that root. q > p, so q(q-p) >= 1.
+    root = 1 + math.isqrt(q * (q - p) - 1)
+    return -(-(q - p + root) // p)
 
 
 def top_levels(alpha: RationalLike) -> int:
@@ -98,11 +88,9 @@ def top_levels(alpha: RationalLike) -> int:
             return p**pad_den * 2**e >= q**pad_den
         return p**pad_den >= q**pad_den * 2**-e
 
-    n = max(1, math.ceil(math.log2(q / p) / 3 + float(LEVEL_PAD)))
+    n = 1
     while not big_enough(n):
         n += 1
-    while n > 1 and big_enough(n - 1):
-        n -= 1
     return n
 
 

@@ -361,6 +361,8 @@ class MajorityIndex2D:
 
     def rect_count(self, xlo, xhi, ylo, yhi) -> int:
         self._check_rect(xlo, xhi, ylo, yhi)
+        if ylo > yhi:  # the light pieces' bisections would go negative
+            return 0
         lo, hi = _ylo_key(ylo), _yhi_key(yhi)
         m = 0
         for v in self._pieces(xlo, xhi):

@@ -51,10 +51,20 @@ COLUMNS = {
     "2d": ("colours", "t", "y", "c"),
     "array": ("colours", "c"),
 }
+KEY_KINDS = {"int": "int", "real": "float"}  # the 1-D modes' index key kinds
 
 
 class SnapshotError(ValueError):
     pass
+
+
+def empty(mode: str, alpha):
+    """An empty structure of the given mode."""
+    if mode == "array":
+        return DynamicColourArray(alpha)
+    if mode == "2d":
+        return MajorityIndex2D(alpha)
+    return MajorityIndex(alpha, key_kind=KEY_KINDS[mode])
 
 
 def _alpha_str(alpha: Fraction) -> str:
@@ -236,7 +246,7 @@ def _from_columns(mode: str, alpha: Fraction, cols: dict):
         xs = _checked(cols["t"], "t", lambda v: num(v, "x-coordinate"), True)
         ys = _checked(cols["y"], "y", lambda v: num(v, "y-coordinate"), False)
         return MajorityIndex2D.build(zip(xs, ys, labels), alpha)
-    idx = MajorityIndex(alpha, key_kind="float" if mode == "real" else mode)
+    idx = empty(mode, alpha)
     keys = _checked(cols["t"], "t", idx._coord, True)
     return idx._load_sorted(keys, idx.registry.intern_all(labels))
 

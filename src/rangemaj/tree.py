@@ -49,6 +49,7 @@ from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
+from operator import itemgetter
 
 import numpy as np
 
@@ -248,7 +249,8 @@ class MajorityIndex:
         """An index over (coordinate, colour label) pairs in any order;
         each point takes one registry reference for its colour."""
         self = cls(alpha, key_kind, registry)
-        pts = sorted((self._coord(c), lab) for c, lab in points)
+        # by coordinate alone: labels need not compare, even on a repeat
+        pts = sorted(((self._coord(c), lab) for c, lab in points), key=itemgetter(0))
         for i in range(1, len(pts)):
             if pts[i - 1][0] == pts[i][0]:
                 raise DuplicateKeyError(pts[i][0])
@@ -403,15 +405,7 @@ class MajorityIndex:
         b = self._make_internal(right_kids, v.height)
         parent = v.parent
         if parent is None:
-            root = _Node(v.height + 1)
-            root.children = [a, b]
-            a.parent = b.parent = root
-            root.weight = a.weight + b.weight
-            root.min_leaf = a.min_leaf
-            root.max_leaf = b.max_leaf
-            if root.weight > self.prune_cutoff:
-                self.rebuild_list(root)
-            self.root = root
+            self.root = self._make_internal([a, b], v.height + 1)
         else:
             i = parent.children.index(v)
             parent.children[i : i + 1] = [a, b]
@@ -484,14 +478,8 @@ class MajorityIndex:
             cur = nxt if nxt is not None else cur.children[-1]
 
         if not path:
-            node = _Node(1)
-            first, second = (cur, leaf) if cur.coord < x else (leaf, cur)
-            node.children = [first, second]
-            first.parent = second.parent = node
-            node.weight = 2
-            node.min_leaf = first
-            node.max_leaf = second
-            self.root = node
+            kids = [cur, leaf] if cur.coord < x else [leaf, cur]
+            self.root = self._make_internal(kids, 1)
             return
 
         parent = path[-1]

@@ -1,6 +1,9 @@
 """CLI paths: golden outputs, exit codes, schema-validated JSON."""
 
+import contextlib
+import io
 import json
+import math
 import random
 import subprocess
 import sys
@@ -8,6 +11,8 @@ from fractions import Fraction
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rangemaj import cli
 from rangemaj.tree import MajorityIndex
@@ -140,6 +145,39 @@ class TestBuild:
         assert rc == 3
         assert err == "error: line 3: coordinate 9 already used on line 1\n"
 
+    def test_csv_field_past_the_limit_names_line(self, capsys, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text("1,a\n2," + "b" * 200_000 + "\n", encoding="utf-8")
+        rc, out, err = run_cli(capsys, "build", "--input", str(path))
+        assert rc == 2 and out == ""
+        assert_one_error_line(err, "line 2: field larger than field limit")
+
+    @pytest.mark.parametrize("mode", ["2d", "int", "real"])
+    def test_structure_checks_decide_and_name_the_line(self, capsys, tmp_path, mode):
+        # the structure's own checks decide; the CLI names the first bad
+        # line in file order
+        path = tmp_path / "p.csv"
+        big = "9" * 400
+        path.write_text(f"1,a,1\n{big},b,2\n3,c,nan\n", encoding="utf-8")
+        rc, out, err = run_cli(capsys, "build", "--input", str(path), "--mode", mode,
+                               "--snapshot", str(tmp_path / "s.snap"))
+        if mode == "int":  # past +/-2^62
+            assert rc == 2 and err.startswith("error: line 2: ")
+        elif mode == "real":  # past the doubles' range: infinite
+            assert rc == 2 and err.startswith("error: line 2: finite coordinate")
+        else:  # 2-D keys are ints as given, so line 3's NaN y is the first fault
+            assert rc == 2 and err.startswith("error: line 3: finite y-coordinate")
+            path.write_text(f"1,a,1\n{big},b,2\n", encoding="utf-8")
+            rc, out, err = run_cli(capsys, "build", "--input", str(path), "--mode", mode,
+                                   "--snapshot", str(tmp_path / "s.snap"))
+            assert rc == 0, err
+            xs = jlines(open(tmp_path / "s.snap", encoding="utf-8").read())[2]
+            assert xs == [1, int(big)]
+            path.write_text("9,a,0\n5,b,0\n9.0,c,0\n5,d,0\n", encoding="utf-8")
+            rc, _, err = run_cli(capsys, "build", "--input", str(path), "--mode", mode)
+            assert rc == 3
+            assert err == "error: line 3: coordinate 9.0 already used on line 1\n"
+
     @pytest.mark.parametrize("mode", ["int", "real"])
     def test_each_point_checked_once(self, capsys, tmp_path, monkeypatch, mode):
         path = tmp_path / "e.csv"
@@ -270,9 +308,11 @@ class TestQuery:
         assert jlines(out) == [{"colour": "a", "count": 2, "fraction": 1.0, "m": 2}]
         rc, _, err = run_cli(capsys, "query", "--snapshot", snap, "true", "3")
         assert rc == 2 and "true" in err
-        # an integer past the doubles' range is refused, not a traceback
-        rc, _, err = run_cli(capsys, "query", "--snapshot", snap, "1", "9" * 400)
-        assert rc == 2 and err.startswith("error: non-finite coordinate")
+        # an integer past the doubles' range is an infinite bound, as in
+        # the library: the window [1, +inf] holds all three points
+        rc, out, err = run_cli(capsys, "query", "--snapshot", snap, "1", "9" * 400)
+        assert rc == 0 and err == ""
+        assert jlines(out) == [{"colour": "a", "count": 2, "fraction": 2 / 3, "m": 3}]
 
     def test_bad_bounds_exit_2(self, capsys, tmp_path, events_csv):
         snap = str(tmp_path / "s.jsonl")
@@ -501,3 +541,160 @@ class TestEntryPoint:
         jsonschema.validate(summary, SUMMARY_SCHEMA)
         assert summary["n"] == 1
         assert "DEBUG:rangemaj" in proc.stderr
+
+
+# ---- properties: malformed input never ends in a traceback, and
+# `query` and a replayed query answer a window alike ----
+
+# alpha 1/10 over three colours: every window holding a point has an answer
+ALPHA = "1/10"
+POINTS = {  # (t, y, colour); array mode uses the colours alone
+    "int": [(1, None, "a"), (2, None, "a"), (3, None, "b"), (5, None, "a"),
+            (6, None, "c"), (8, None, "a")],
+    "real": [(0.5, None, "a"), (1, None, "a"), (2.5, None, "b"), (3, None, "a"),
+             (4.75, None, "c"), (6, None, "a")],
+    "2d": [(1, 4, "a"), (2, 1, "a"), (3, 3, "b"), (5, 2, "a"), (6, 6, "c"), (8, 5, "a")],
+    "array": [(0, None, "a"), (0, None, "a"), (0, None, "b"), (0, None, "a"),
+              (0, None, "c"), (0, None, "a")],
+}
+MODES = sorted(POINTS)
+FIELDS = ("lo", "hi", "ylo", "yhi")
+
+# window ends that some mode accepts; infinite bounds only in real and 2d
+ENDS = st.one_of(st.integers(1, 6), st.integers(-1, 9),
+                 st.sampled_from([2.5, math.inf, -math.inf, 2**70, -(2**70)]))
+NUMBERS = st.one_of(ENDS, st.sampled_from([-0.5, 1.0, math.nan, 2**62 + 1, 10**400]))
+# non-numeric in text and in JSON alike, so query and replay see one value
+JUNK = st.one_of(st.booleans(), st.none(),
+                 st.sampled_from(["abc", "", "1..2", "0x10", "[1]"]))
+
+
+def as_text(v):
+    """v as query argv text that `_number` reads back to v."""
+    if isinstance(v, bool) or v is None:
+        return json.dumps(v)
+    if isinstance(v, float) and not math.isfinite(v):
+        return str(v)  # "inf", "-inf", "nan"
+    return repr(v)
+
+
+def quiet_cli(*argv):
+    """Run the CLI in-process; an exception escaping it fails the test."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(list(argv))
+    err = err.getvalue()
+    assert rc in (0, 1, 2, 3), rc
+    assert "Traceback" not in err
+    assert err.count("error:") <= 1 and err.count("\n") <= 1, err
+    assert (rc == 0) == (err == ""), (rc, err)
+    return rc, out.getvalue()
+
+
+def insert_records(mode):
+    for t, y, c in POINTS[mode]:
+        rec = {"op": "insert", "c": c}
+        if mode != "array":
+            rec["t"] = t
+        if mode == "2d":
+            rec["y"] = y
+        yield rec
+
+
+@pytest.fixture(scope="module")
+def cli_dir(tmp_path_factory):
+    """A directory holding one snapshot per mode, written by `build`."""
+    d = tmp_path_factory.mktemp("cli_props")
+    for mode, pts in POINTS.items():
+        path = d / f"{mode}.csv"
+        path.write_text("".join(f"{t},{c},{'' if y is None else y}\n" for t, y, c in pts),
+                        encoding="utf-8")
+        rc, _ = quiet_cli("build", "--input", str(path), "--mode", mode,
+                          "--alpha", ALPHA, "--snapshot", str(d / f"{mode}.snap"))
+        assert rc == 0
+    return d
+
+
+def replay(cli_dir, mode, recs):
+    path = cli_dir / "stream.jsonl"
+    lines = [json.dumps({"op": "config", "mode": mode, "alpha": ALPHA})]
+    lines += [r if isinstance(r, str) else json.dumps(r)
+              for r in [*insert_records(mode), *recs]]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return quiet_cli("replay", "--input", str(path))
+
+
+def assert_window_alike(cli_dir, mode, values):
+    """`query` and a replayed query of the same bounds end alike."""
+    rc_q, out_q = quiet_cli("query", "--snapshot", str(cli_dir / f"{mode}.snap"),
+                            "--", *map(as_text, values))
+    fields = FIELDS[: 4 if mode == "2d" else 2]
+    rc_r, out_r = replay(cli_dir, mode, [{"op": "query", **dict(zip(fields, values))}])
+    assert rc_q == rc_r and rc_q in (0, 2)
+    if rc_q:
+        assert out_q == out_r == ""
+        return False
+    rows = jlines(out_q)
+    (rec,) = jlines(out_r)
+    jsonschema.validate(rec, REPLAY_SCHEMA)
+    assert {r["colour"]: r["count"] for r in rows} == rec["result"]
+    for r in rows:
+        jsonschema.validate(r, QUERY_SCHEMA)
+        assert r["m"] == rec["m"]
+    return bool(rows)
+
+
+class TestProperties:
+    @pytest.mark.parametrize("mode,values", [
+        ("int", [-(2**70), 2**70]),
+        ("real", [-math.inf, math.inf]),
+        ("2d", [-math.inf, math.inf, -math.inf, math.inf]),
+        ("array", [1, 6]),
+    ])
+    def test_whole_window_answers_alike(self, cli_dir, mode, values):
+        assert assert_window_alike(cli_dir, mode, values)
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(mode=st.sampled_from(MODES), ends=st.lists(ENDS, min_size=4, max_size=4))
+    def test_windows_answer_alike(self, cli_dir, mode, ends):
+        lo, hi, ylo, yhi = ends
+        values = [min(lo, hi), max(lo, hi), min(ylo, yhi), max(ylo, yhi)]
+        assert_window_alike(cli_dir, mode, values[: 4 if mode == "2d" else 2])
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(mode=st.sampled_from(MODES),
+           values=st.lists(st.one_of(NUMBERS, JUNK), min_size=1, max_size=5))
+    def test_malformed_windows_fail_alike(self, cli_dir, mode, values):
+        # any values and any count of them, missing bounds included; an
+        # extra bound is an error to `query` only, as replay ignores fields
+        assert_window_alike(cli_dir, mode, values[: 4 if mode == "2d" else 2])
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        mode=st.sampled_from(MODES),
+        recs=st.lists(
+            st.one_of(
+                st.fixed_dictionaries(
+                    {"op": st.sampled_from(["insert", "delete", "modify", "query",
+                                            "config", "bogus"])},
+                    optional={k: st.one_of(NUMBERS, JUNK)
+                              for k in ("t", "y", "i", "c", "expect", "mode", "alpha",
+                                        *FIELDS)},
+                ),
+                st.fixed_dictionaries({}, optional={"t": NUMBERS, "c": st.just("a")}),
+                st.sampled_from(["[1, 2]", "not json", '"op"', "[" * 5000, "9" * 5000]),
+            ),
+            max_size=6,
+        ),
+    )
+    def test_malformed_replay_ends_in_an_exit_code(self, cli_dir, mode, recs):
+        replay(cli_dir, mode, recs)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(mode=st.sampled_from(MODES),
+           values=st.lists(st.one_of(NUMBERS, JUNK), min_size=0, max_size=3))
+    def test_malformed_build_ends_in_an_exit_code(self, cli_dir, mode, values):
+        path = cli_dir / "events.csv"
+        good = "".join(f"{t},{c},{'' if y is None else y}\n" for t, y, c in POINTS[mode])
+        path.write_text(good + ",".join(map(as_text, values)) + "\n", encoding="utf-8")
+        quiet_cli("build", "--input", str(path), "--mode", mode)

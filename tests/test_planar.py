@@ -99,6 +99,15 @@ class TestBasics:
         assert idx.rect_count(0, 2, -math.inf, 2) == 2
         assert idx.rect_colour_count("a", -math.inf, 1, 0, math.inf) == 2
 
+    @pytest.mark.parametrize("n", [10, 3000])
+    def test_reversed_rectangle_counts_zero(self, n):
+        # light pieces (n = 10) bisect their y lists; heavy ones count in F
+        idx = MajorityIndex2D.build([(i, i, "a") for i in range(n)], "1/2")
+        assert idx.rect_count(0, n - 1, 5, 2) == 0
+        assert idx.rect_count(n - 1, 0, 0, n - 1) == 0
+        assert idx.rect_colour_count("a", 0, n - 1, 5, 2) == 0
+        assert idx.query_counts(0, n - 1, 5, 2) == {}
+
     def test_repeating_y_allowed(self):
         idx = MajorityIndex2D.build([(i, 42, "r" if i < 7 else "b") for i in range(10)], "1/2")
         assert idx.query(0, 9, 42, 42) == {"r"}

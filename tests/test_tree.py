@@ -48,6 +48,14 @@ class TestBuild:
         with pytest.raises(DuplicateKeyError):
             MajorityIndex.build([(1, "a"), (1, "b")], "1/2")
 
+    def test_duplicate_with_incomparable_labels_rejected(self):
+        # the build sorts by coordinate alone, so labels never compare
+        with pytest.raises(DuplicateKeyError):
+            MajorityIndex.build([(1, "a"), (1, 2)], "1/2")
+        idx = MajorityIndex.build([(2, "a"), (1, 2), (3, None)], "1/2")
+        assert idx.query_counts(1, 1) == {2: 1}
+        assert [lf.coord for lf in idx.leaves()] == [1, 2, 3]
+
     def test_build_matches_incremental(self):
         rng = random.Random(4)
         pts = [(c, "c%d" % rng.randrange(6)) for c in rng.sample(range(10000), 800)]
