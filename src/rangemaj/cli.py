@@ -146,38 +146,26 @@ def _build_object(args):
         return MajorityIndex.build(pts, alpha, snap_mod.KEY_KINDS[mode]), alpha
     except ValueError:
         # the build checks each point once; on a failure, find the first
-        # bad line in file order
-        _raise_first_bad_line(pts, lines, mode, alpha)
-        raise
-
-
-def _raise_first_bad_line(pts, lines, mode: str, alpha) -> None:
-    """Raise the error of the first point, in file order, that the
-    structure's own checks refuse, named by its line."""
-    if mode == "2d":
+        # bad line in file order with the structure's own checks
         num = MajorityIndex2D._num
-
-        def key(p):
-            x = num(p[0], "x-coordinate")
-            num(p[1], "y-coordinate")
-            return x
-    else:
-        coord = snap_mod.empty(mode, alpha)._coord
-
-        def key(p):
-            return coord(p[0])
-
-    seen = {}
-    for p, lineno in zip(pts, lines):
-        try:
-            x = key(p)
-        except ValueError as exc:
-            raise InputError(f"line {lineno}: {exc}") from None
-        if x in seen:
-            raise DuplicateKeyError(
-                f"line {lineno}: coordinate {x!r} already used on line {seen[x]}"
-            )
-        seen[x] = lineno
+        if mode != "2d":
+            coord = MajorityIndex(alpha, snap_mod.KEY_KINDS[mode])._coord
+        seen = {}
+        for p, lineno in zip(pts, lines):
+            try:
+                if mode == "2d":
+                    x = num(p[0], "x-coordinate")
+                    num(p[1], "y-coordinate")
+                else:
+                    x = coord(p[0])
+            except ValueError as exc:
+                raise InputError(f"line {lineno}: {exc}") from None
+            if x in seen:
+                raise DuplicateKeyError(
+                    f"line {lineno}: coordinate {x!r} already used on line {seen[x]}"
+                ) from None
+            seen[x] = lineno
+        raise
 
 
 def _summary(obj, mode: str, alpha: Fraction) -> dict:
@@ -223,8 +211,9 @@ def _window(obj, mode: str, bounds, where: str = "") -> tuple[dict, int]:
             m = max(j - i + 1, 0)
         elif mode == "2d":
             m = obj.rect_count(*bounds)
-        else:
-            m = obj.F.count_range(*bounds)
+        else:  # counted on the bounds the query snaps to
+            lo, hi = obj._query_bound(bounds[0], "lo"), obj._query_bound(bounds[1], "hi")
+            m = obj.F.count_range(lo, hi)
     except (ValueError, TypeError, IndexError) as exc:
         raise InputError(f"{where}{exc}") from None
     return counts, m

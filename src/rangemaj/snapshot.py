@@ -246,7 +246,7 @@ def _from_columns(mode: str, alpha: Fraction, cols: dict):
         xs = _checked(cols["t"], "t", lambda v: num(v, "x-coordinate"), True)
         ys = _checked(cols["y"], "y", lambda v: num(v, "y-coordinate"), False)
         return MajorityIndex2D.build(zip(xs, ys, labels), alpha)
-    idx = empty(mode, alpha)
+    idx = MajorityIndex(alpha, KEY_KINDS[mode])
     keys = _checked(cols["t"], "t", idx._coord, True)
     return idx._load_sorted(keys, idx.registry.intern_all(labels))
 

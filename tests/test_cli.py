@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import jsonschema
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rangemaj import cli
@@ -314,6 +314,24 @@ class TestQuery:
         assert rc == 0 and err == ""
         assert jlines(out) == [{"colour": "a", "count": 2, "fraction": 2 / 3, "m": 3}]
 
+    def test_real_mode_counts_m_on_the_snapped_bounds(self, capsys, tmp_path):
+        # 2**53 + 1 is no double: the float index reads it as 2**53, the
+        # stored point, and m counts that window too
+        path = tmp_path / "r.csv"
+        path.write_text(f"1,b\n{2**53},a\n", encoding="utf-8")
+        snap = str(tmp_path / "s.jsonl")
+        rc, _, err = run_cli(capsys, "build", "--input", str(path), "--mode", "real",
+                             "--alpha", "1/3", "--snapshot", snap)
+        assert rc == 0, err
+        big = str(2**53 + 1)
+        rc, out, err = run_cli(capsys, "query", "--snapshot", snap, big, big)
+        assert rc == 0 and err == ""
+        assert jlines(out) == [{"colour": "a", "count": 1, "fraction": 1.0, "m": 1}]
+        rc, out, err = run_cli(capsys, "query", "--snapshot", snap, "0", big)
+        assert rc == 0 and err == ""
+        assert jlines(out) == [{"colour": "a", "count": 1, "fraction": 0.5, "m": 2},
+                               {"colour": "b", "count": 1, "fraction": 0.5, "m": 2}]
+
     def test_bad_bounds_exit_2(self, capsys, tmp_path, events_csv):
         snap = str(tmp_path / "s.jsonl")
         run_cli(capsys, "build", "--input", events_csv, "--snapshot", snap)
@@ -546,13 +564,14 @@ class TestEntryPoint:
 # ---- properties: malformed input never ends in a traceback, and
 # `query` and a replayed query answer a window alike ----
 
-# alpha 1/10 over three colours: every window holding a point has an answer
+# alpha 1/10 over at most 9 points: every colour in a window is a
+# majority, so a window's counts sum to its m
 ALPHA = "1/10"
 POINTS = {  # (t, y, colour); array mode uses the colours alone
     "int": [(1, None, "a"), (2, None, "a"), (3, None, "b"), (5, None, "a"),
             (6, None, "c"), (8, None, "a")],
     "real": [(0.5, None, "a"), (1, None, "a"), (2.5, None, "b"), (3, None, "a"),
-             (4.75, None, "c"), (6, None, "a")],
+             (4.75, None, "c"), (6, None, "a"), (2**53, None, "b")],
     "2d": [(1, 4, "a"), (2, 1, "a"), (3, 3, "b"), (5, 2, "a"), (6, 6, "c"), (8, 5, "a")],
     "array": [(0, None, "a"), (0, None, "a"), (0, None, "b"), (0, None, "a"),
               (0, None, "c"), (0, None, "a")],
@@ -560,9 +579,10 @@ POINTS = {  # (t, y, colour); array mode uses the colours alone
 MODES = sorted(POINTS)
 FIELDS = ("lo", "hi", "ylo", "yhi")
 
-# window ends that some mode accepts; infinite bounds only in real and 2d
+# window ends that some mode accepts; infinite bounds only in real and 2d,
+# and 2**53 + 1, which is no double, reads as real mode's point at 2**53
 ENDS = st.one_of(st.integers(1, 6), st.integers(-1, 9),
-                 st.sampled_from([2.5, math.inf, -math.inf, 2**70, -(2**70)]))
+                 st.sampled_from([2.5, math.inf, -math.inf, 2**70, -(2**70), 2**53 + 1]))
 NUMBERS = st.one_of(ENDS, st.sampled_from([-0.5, 1.0, math.nan, 2**62 + 1, 10**400]))
 # non-numeric in text and in JSON alike, so query and replay see one value
 JUNK = st.one_of(st.booleans(), st.none(),
@@ -637,6 +657,7 @@ def assert_window_alike(cli_dir, mode, values):
     rows = jlines(out_q)
     (rec,) = jlines(out_r)
     jsonschema.validate(rec, REPLAY_SCHEMA)
+    assert sum(rec["result"].values()) == rec["m"]
     assert {r["colour"]: r["count"] for r in rows} == rec["result"]
     for r in rows:
         jsonschema.validate(r, QUERY_SCHEMA)
@@ -656,6 +677,7 @@ class TestProperties:
 
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(mode=st.sampled_from(MODES), ends=st.lists(ENDS, min_size=4, max_size=4))
+    @example(mode="real", ends=[2**53 + 1, math.inf, 0, 0])  # lo snaps to a point
     def test_windows_answer_alike(self, cli_dir, mode, ends):
         lo, hi, ylo, yhi = ends
         values = [min(lo, hi), max(lo, hi), min(ylo, yhi), max(ylo, yhi)]
