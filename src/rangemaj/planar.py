@@ -4,9 +4,10 @@ A weight-balanced binary tree over x-coordinates (scapegoat rebuilds at
 a 0.7 child ratio). Every internal x-node answers for the points of its
 x-span in (y, x) order, in one of two forms:
 
-- A light node keeps three parallel lists in (y, x) order: ``ys``,
-  ``xs`` and the colour ids ``cols``. A rectangle piece on it is two
-  ``bisect`` calls on ``ys`` and a slice of ``cols``.
+- A light node keeps three parallel sequences in (y, x) order: the
+  lists ``ys`` and ``xs`` and the colour ids ``cols``, an ``array('q')``.
+  A rectangle piece on it is two ``bisect`` calls on ``ys`` and a slice
+  of ``cols``.
 - A heavy node carries a full 1-D majority index ``sub`` over keys
   (y, x), which stay distinct, with its candidate lists and per-colour
   counting sets.
@@ -17,18 +18,20 @@ heavy once its weight exceeds 2L, and a heavy node turns light once its
 weight falls to L/2, so every conversion is paid for by Omega(L)
 updates. A light piece thus counts O(L) = O(1/alpha) ids, keeping the
 paper's per-piece bound, and only the top levels of the tree hold
-sub-indexes. ``LIGHT_LISTS`` is large because a slice count in C stays
-cheaper than a sub-index's candidate collection in Python up to weights
-in the thousands. Builds go bottom-up: a node's (y, x)-sorted records
-are its children's records merged.
+sub-indexes. ``LIGHT_LISTS`` is large because a slice count in numpy
+stays cheaper than a sub-index's candidate collection in Python up to
+weights in the thousands. Builds go bottom-up: a node's (y, x)-sorted
+records are its children's records merged.
 
 A rectangle query splits [x_lo, x_hi] into O(lg n) canonical x-pieces.
-The slices of all light pieces and the leaf pieces are counted exactly,
-in one count in C; each heavy piece adds the 1-D candidate tallies of
-its sub-index. The sum, which also yields the rectangle's point count,
-is filtered once globally at a quarter of the reporting threshold, and
-each survivor is verified by its exact count plus its per-colour counts
-in the heavy pieces.
+The slices of all light pieces and the leaf pieces join, by memory
+copies, with the ids each heavy piece's sub-index collects from its
+light nodes and leaves; the joined ``array('q')`` is counted once with
+``tree.count_ids``, and the heavy pieces' listed nodes add their
+candidate lists. The tally is filtered once globally at a quarter of the
+reporting threshold (``tree.survivors``), and each survivor is verified
+by its exact count in the light and leaf pieces plus its per-colour
+counts in the heavy pieces.
 
 Every layer below the index runs on colour ids. The index alone holds
 registry references, one per live point through its leaf: a label is
@@ -44,13 +47,16 @@ y-coordinates may repeat freely.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
 
+import numpy as np
+
 from .errors import DuplicateKeyError
 from .params import AlphaConfig
-from .registry import ColourRegistry, ScratchCounters
-from .tree import MajorityIndex
+from .registry import ColourRegistry
+from .tree import MajorityIndex, count_ids, survivors
 
 RATIO_NUM, RATIO_DEN = 7, 10  # scapegoat trigger: child weight > 0.7 * node weight
 LIGHT_LISTS = 16  # light cutoff L = LIGHT_LISTS * list_size points
@@ -118,7 +124,6 @@ class MajorityIndex2D:
         self._aq = self.cfg.alpha.denominator
         self.light_cutoff = LIGHT_LISTS * self.cfg.list_size
         self.registry = ColourRegistry()
-        self.scratch = ScratchCounters()
         self.root = None
         self._x_present: set = set()
         self.stats = {
@@ -185,7 +190,7 @@ class MajorityIndex2D:
     def _join(self, left, right, recs):
         """Internal node over adjacent subtrees whose points are recs."""
         node = _XNode(left, right)
-        cols = [r[2] for r in recs]
+        cols = array("q", [r[2] for r in recs])
         if node.weight > self.light_cutoff:
             node.sub = self._sub_index([(y, x) for y, x, _ in recs], cols)
         else:
@@ -207,7 +212,7 @@ class MajorityIndex2D:
         keys, cols = zip(*node.sub.F.items())
         node.ys = [k[0] for k in keys]
         node.xs = [k[1] for k in keys]
-        node.cols = list(cols)
+        node.cols = array("q", cols)
         node.sub = None
         self.stats["to_light"] += 1
 
@@ -258,6 +263,7 @@ class MajorityIndex2D:
         self._rebalance(path)
 
     def delete(self, x) -> None:
+        x = self._num(x, "x-coordinate")
         if x not in self._x_present:
             raise KeyError(x)
         self._x_present.discard(x)
@@ -389,8 +395,8 @@ class MajorityIndex2D:
                 if v.cid == cid and ylo <= v.y <= yhi:
                     f += 1
             elif v.sub is None:
-                ys = v.ys
-                f += v.cols[bisect_left(ys, ylo) : bisect_right(ys, yhi)].count(cid)
+                i, j = bisect_left(v.ys, ylo), bisect_right(v.ys, yhi)
+                f += int(np.count_nonzero(np.frombuffer(v.cols, np.int64)[i:j] == cid))
             else:
                 pc = v.sub.per_colour.get(cid)
                 if pc is not None:
@@ -409,31 +415,39 @@ class MajorityIndex2D:
         self.stats["queries"] += 1
         if self.root is None or xlo > xhi or ylo > yhi:
             return {}
-        ids = []  # colour ids of the leaf and light pieces' points
+        ids = array("q")  # colour ids of the leaf and light pieces' points
         heavy = []
         for v in self._pieces(xlo, xhi):
             if v.weight == 1:
                 if ylo <= v.y <= yhi:
                     ids.append(v.cid)
             elif v.sub is None:
-                ys = v.ys
-                ids += v.cols[bisect_left(ys, ylo) : bisect_right(ys, yhi)]
+                i, j = bisect_left(v.ys, ylo), bisect_right(v.ys, yhi)
+                if i < j:  # most pieces of a short rectangle hold nothing
+                    ids += v.cols[i:j]
             else:
                 heavy.append(v)
-        sc = self.scratch
-        m = len(ids)
+        m = light = len(ids)
+        listed = []
         lo, hi = _ylo_key(ylo), _yhi_key(yhi)
-        for v in heavy:
-            m += v.sub._collect(lo, hi, sc)
-        exact = Counter(ids)
-        sc.update(exact)
+        for v in heavy:  # their collected ids join after the light ones
+            hm, hlisted, hids = v.sub._collect(lo, hi)
+            m += hm
+            listed += hlisted
+            ids += hids
         p, q = self._ap, self._aq
-        survivors = [cid for cid, t in sc.drain().items() if 4 * q * t > p * m]
+        tallies, count = survivors(ids, listed, p * m, q, self.registry.capacity)
         # disjoint canonical masses sum to at most m
-        assert len(survivors) * p <= 4 * q, "survivor bound exceeded"
+        assert len(tallies) * p <= 4 * q, "survivor bound exceeded"
         out = {}
-        for cid in survivors:
-            f = exact.get(cid, 0) + self._rect_cid_count(cid, heavy, ylo, yhi)
+        if heavy:
+            # count(cid) also counts the heavy pieces' collected ids, which
+            # their exact per-colour counts replace
+            collected = count_ids(ids[light:], self.registry.capacity)[1]
+        for cid in tallies:
+            f = count(cid)
+            if heavy:
+                f += self._rect_cid_count(cid, heavy, ylo, yhi) - collected(cid)
             if q * f > p * m:
                 out[self.registry.label_of(cid)] = f
         return out
@@ -442,7 +456,6 @@ class MajorityIndex2D:
 
     def audit2d(self) -> None:
         """Structural and cross-layer invariants; cost O(n lg n)."""
-        self.scratch.audit_zero()
         if self.root is None:
             assert not self._x_present
             assert self.registry.live_count == 0

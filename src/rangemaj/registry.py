@@ -1,10 +1,10 @@
-"""Colour labels mapped to small dense integer ids, plus the query tally.
+"""Colour labels mapped to small dense integer ids.
 
 External colour labels (any hashable) are interned to ids that stay in
 [1, 2n] for n stored points: a global remap reassigns ids densely once
-the issued-id high-water mark exceeds twice the point count. The
-per-query tally is a ``Counter`` from id to summed count, emptied by a
-drain.
+the issued-id high-water mark exceeds twice the point count. That mark,
+``capacity``, bounds every id, so the counts in ``tree`` size a dense
+``np.bincount`` by it without reading the ids' maximum.
 """
 
 from __future__ import annotations
@@ -119,11 +119,11 @@ class ColourRegistry:
 
 
 class ScratchCounters(Counter):
-    """Per-query tally: colour id -> summed count, drain-reset.
+    """A colour id -> summed count tally, drain-reset.
 
-    Hot loops add a whole array of colour ids with ``t.update(ids)``, which
-    counts in C, or write ``t[c] = t.get(c, 0) + n`` directly; ``bump`` is
-    that single step as a method.
+    The indexes count with ``tree.count_ids`` and hold none; the class
+    stays only because the benchmark's tracer wraps ``bump`` and
+    ``drain`` by name.
     """
 
     __slots__ = ()

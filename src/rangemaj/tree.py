@@ -16,10 +16,12 @@ entries of that column from the node's first coordinate on, read as one
 ``array('q')``. A list rebuild therefore costs one lookup of that key in
 ``F`` plus a numpy count of the slice (``top_colours``), linear in the
 node's weight, that touches no leaf object: ``bincount`` while the
-largest id is below twice the slice length plus 4,096, ``unique`` past
-that, then the top ids by count descending and id ascending. A
-query counts its light nodes' slices and its leaves' colours as one
-joined ``array('q')`` with a ``Counter``.
+registry's capacity, which bounds every id, is below twice the slice
+length plus 4,096, ``unique`` past that, then the top ids by count
+descending and id ascending. A query joins its light nodes' slices
+and its leaves' colours into one ``array('q')`` and counts it once with
+``count_ids``: a ``Counter`` below ``SMALL_COUNT`` ids, else the same
+numpy rule; exact counts are then read for candidates only.
 
 An id-level core never touches the registry: ``_load_sorted`` (keys
 in strictly ascending order and their ids), ``_insert_id`` and
@@ -62,29 +64,96 @@ from .params import (
     MIN_DEGREE,
     rebuild_threshold,
 )
-from .registry import ColourRegistry, ScratchCounters
+from .registry import ColourRegistry
 
 INT_BOUND = 1 << 62
 
 
-def top_colours(ids, k) -> dict:
-    """The k most frequent of the positive int64 ids with their counts,
-    count descending and then id ascending."""
-    top = int(ids.max())
-    # bincount allocates and scans top + 1 slots, unique sorts the ids.
-    # Measured on Zipf-skewed ids (numpy 2.4, CPython 3.11, 2 vCPUs):
+SMALL_COUNT = 64  # below this many ids a Counter beats numpy's ~5 us per call
+
+
+def _np_counts(a, capacity):
+    """Counts of the int64 ids a, each at most capacity: (None, counts
+    indexed by id) from bincount, or (the ids ascending, their counts)
+    from unique when the ids are sparse."""
+    # bincount allocates and scans capacity + 1 slots, unique sorts the
+    # ids. Measured on Zipf-skewed ids (numpy 2.4, CPython 3.11, 2 vCPUs):
     # bincount wins up to a largest id of about twice the slice length
     # plus a few thousand (unique's fixed cost is about 20 us), e.g. 300
     # ids up to 2,400: 30 against 45 us; 1,000 ids up to 4,000: 95
     # against 100 us; 100,000 ids up to 1,000: 0.21 against 0.81 ms. Far
     # past it bincount loses badly: 300 ids up to 200,000 take 0.96 ms
-    # against 59 us, 100,000 ids up to 800,000 3.4 against 0.9 ms.
-    if top < 2 * len(ids) + 4096:
-        counts = np.bincount(ids)
+    # against 59 us, 100,000 ids up to 800,000 3.4 against 0.9 ms. The
+    # registry's capacity bounds every id, so no max() is needed.
+    if capacity < 2 * len(a) + 4096:
+        return None, np.bincount(a, minlength=capacity + 1)
+    return np.unique(a, return_counts=True)
+
+
+def count_ids(ids, capacity, part=0):
+    """Count the colour ids of the array('q') ids, each at most capacity.
+
+    Returns the ids counted more than part times, as a dict from id to
+    count, and a function from any id to its count.
+    """
+    if len(ids) < SMALL_COUNT:
+        got = Counter(ids)
+        return {c: n for c, n in got.items() if n > part}, got.__getitem__
+    vals, counts = _np_counts(np.frombuffer(ids, np.int64), capacity)
+    if vals is None:
+        over = np.flatnonzero(counts > part)
+        return dict(zip(over.tolist(), counts[over].tolist())), counts.item
+
+    def count(c):
+        i = min(int(vals.searchsorted(c)), len(vals) - 1)
+        return int(counts[i]) if vals[i] == c else 0
+
+    keep = counts > part
+    return dict(zip(vals[keep].tolist(), counts[keep].tolist())), count
+
+
+def survivors(ids, listed, pm, q, capacity):
+    """Colour ids whose tally exceeds alpha*m/4, with their tallies, and
+    the count function of ids. Here alpha = p/q and pm = p*m; a colour's
+    tally is its count in the array('q') ids, which holds ids at most
+    capacity, plus its counts in the lists of the listed nodes."""
+    # Pigeonhole: split the tally into K parts, one per listed node plus
+    # ids. A colour whose tally exceeds T = alpha*m/4 holds more than T/K
+    # in some part. A list is in count-descending order at its rebuild,
+    # and each of the `staleness` updates since moved at most one tracked
+    # count by one, so every later entry is at most the current count
+    # plus staleness: no entry past the first with count + staleness
+    # <= T/K can exceed T/K. For integer n, n > x/d exactly when
+    # n > x // d, so each test below is one integer compare.
+    part = pm // (4 * q * (len(listed) + 1))  # floor(T/K)
+    over, count = count_ids(ids, capacity, part)
+    if not listed:  # K = 1: the ids alone are the tally
+        return over, count
+    cands = set(over)
+    for u in listed:
+        stop = part - u.staleness
+        for c, n in u.cand.items():
+            if n <= stop:
+                break
+            cands.add(c)
+    quarter = pm // (4 * q)  # floor(T)
+    out = {}
+    for c in cands:
+        tally = count(c)
+        for u in listed:
+            tally += u.cand.get(c, 0)
+        if tally > quarter:
+            out[c] = tally
+    return out, count
+
+
+def top_colours(ids, k, capacity) -> dict:
+    """The k most frequent of the int64 ids, each in [1, capacity], with
+    their counts, count descending and then id ascending."""
+    vals, counts = _np_counts(ids, capacity)
+    if vals is None:
         vals = np.flatnonzero(counts)
         counts = counts[vals]
-    else:
-        vals, counts = np.unique(ids, return_counts=True)
     if len(vals) > k:
         # only ids counted at least as often as the k-th largest count
         kth = np.partition(counts, len(counts) - k)[len(counts) - k]
@@ -181,7 +250,6 @@ class MajorityIndex:
         self._aq = self.cfg.alpha.denominator
         self.prune_cutoff = 2 * self.cfg.list_size
         self.registry = registry if registry is not None else ColourRegistry()
-        self.scratch = ScratchCounters()
         self.F = CountedOrderedSet()
         self.F.load_sorted((), ())  # F carries the colour column
         self.per_colour: dict = {}
@@ -326,7 +394,7 @@ class MajorityIndex:
         self.root.parent = None
 
     def _bulk_list(self, node, seg) -> None:
-        node.cand = top_colours(seg, self.cfg.list_size)
+        node.cand = top_colours(seg, self.cfg.list_size, self.registry.capacity)
         node.staleness = 0
         node.rebuild_at = rebuild_threshold(node.weight, self.cfg.beta)
 
@@ -335,7 +403,7 @@ class MajorityIndex:
     def rebuild_list(self, v) -> None:
         """Recompute C(v) exactly from v's slice of F's colour column."""
         ids = np.frombuffer(self.F.values_from(v.min_leaf.coord, v.weight), np.int64)
-        v.cand = top_colours(ids, self.cfg.list_size)
+        v.cand = top_colours(ids, self.cfg.list_size, self.registry.capacity)
         v.staleness = 0
         v.rebuild_at = rebuild_threshold(v.weight, self.cfg.beta)
         v.rebuild_serial += 1
@@ -679,10 +747,9 @@ class MajorityIndex:
         self.stats["pruned_leaf_visits"] += v.weight
         return self.F.values_from(v.min_leaf.coord, v.weight)
 
-    def _accumulate(self, groups, t) -> list:
-        """Tally the leaves and light nodes of groups exactly into t, in
-        one count in C; return the listed nodes, whose lists the caller
-        reads."""
+    def _accumulate(self, groups):
+        """The listed nodes of groups, whose lists the caller reads, and
+        the colour ids of their leaves and light nodes as one array('q')."""
         listed = []
         ids = array("q")  # light-node slices join by memory copies
         for _, nodes in groups:
@@ -693,15 +760,14 @@ class MajorityIndex:
                     listed.append(u)
                 else:
                     ids += self._leaf_colours(u)
-        t.update(ids)
-        return listed
+        return listed, ids
 
     def scan_pruned(self, v, a, b, m) -> dict:
         """Exact alpha-majorities of the snapped range [a, b] when it is
         exactly the span of light node v, by a scan of v's leaves."""
-        self.scratch.update(self._leaf_colours(v))
-        p, q = self._ap, self._aq
-        return {cid: n for cid, n in self.scratch.drain().items() if q * n > p * m}
+        return count_ids(
+            self._leaf_colours(v), self.registry.capacity, self._ap * m // self._aq
+        )[0]
 
     # ---- queries ----
 
@@ -748,57 +814,32 @@ class MajorityIndex:
         else:
             mode = "general"
             groups = self._top_groups(a, b)
-            listed = self._accumulate(groups, self.scratch)
-            exact = self.scratch.drain()
-            # Pigeonhole: split the tally into K parts, one per listed node
-            # plus the exact leaf part. A colour whose tally exceeds
-            # T = alpha*m/4 holds more than T/K in some part. A list is in
-            # count-descending order at its rebuild, and each of the
-            # `staleness` updates since moved at most one tracked count by
-            # one, so every later entry is at most the current count plus
-            # staleness: no entry past the first with count + staleness
-            # <= T/K can exceed T/K. For integer n, n > x/d exactly when
-            # n > x // d, so each test below is one integer compare.
+            listed, ids = self._accumulate(groups)
             pm = p * m
-            part = pm // (4 * q * (len(listed) + 1))  # floor(T/K)
-            cands = {c for c, n in exact.items() if n > part}
-            for u in listed:
-                stop = part - u.staleness
-                for c, n in u.cand.items():
-                    if n <= stop:
-                        break
-                    cands.add(c)
-            drained = [] if dbg is not None else None
+            tallies, _ = survivors(ids, listed, pm, q, self.registry.capacity)
             out = {}
-            quarter = pm // (4 * q)  # floor(T)
-            for c in cands:
-                tally = exact.get(c, 0)
-                for u in listed:
-                    tally += u.cand.get(c, 0)
-                if drained is not None:
-                    drained.append((c, tally))
-                if tally > quarter:
-                    pc = self.per_colour.get(c)
-                    f = pc.count_range(a, b) if pc is not None else 0
-                    if q * f > pm:
-                        out[c] = f
+            for c in tallies:
+                pc = self.per_colour.get(c)
+                f = pc.count_range(a, b) if pc is not None else 0
+                if q * f > pm:
+                    out[c] = f
             if dbg is not None:
                 dbg["groups"] = groups
-                dbg["drained"] = drained
+                dbg["drained"] = list(tallies.items())
         if dbg is not None:
             dbg.update(snapped=(a, b), m=m, mode=mode, result=out)
         return out
 
-    def _collect(self, lo, hi, t) -> int:
-        """Add full candidate tallies for [lo, hi] to a caller tally t
-        without filtering; returns the range's point count.
+    def _collect(self, lo, hi):
+        """(m, listed, ids) for [lo, hi]: the range's point count, then
+        ``_accumulate``'s listed nodes and joined ids, unfiltered.
 
-        Serves the planar wrapper, which merges tallies across several
+        Serves the planar wrapper, which merges them across several
         sub-indexes before applying its own global filter.
         """
         snapped = self.snap(lo, hi)
         if snapped is None:
-            return 0
+            return 0, [], array("q")
         a, b = snapped
         m = self.F.count_range(a, b)
         cover = self._cover_node(a, b)
@@ -806,11 +847,7 @@ class MajorityIndex:
             groups = [(cover.height, [cover])]
         else:
             groups = self._top_groups(a, b)
-        get = t.get
-        for u in self._accumulate(groups, t):
-            for c, n in u.cand.items():
-                t[c] = get(c, 0) + n
-        return m
+        return (m, *self._accumulate(groups))
 
     # ---- debug audits ----
 
@@ -828,7 +865,6 @@ class MajorityIndex:
     def audit_structure(self, deep=False) -> None:
         """Structural invariants, every colour id live in the registry;
         deep adds exact recounts of fresh lists."""
-        self.scratch.audit_zero()
         if self.root is None:
             assert len(self.F) == 0
             return

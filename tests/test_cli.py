@@ -519,6 +519,18 @@ class TestReplay:
         assert "Traceback" not in err and "not supported" not in err
 
 
+    @pytest.mark.parametrize("t", [True, "x", [1]], ids=["bool", "str", "list"])
+    def test_2d_delete_checks_its_coordinate_exit_2(self, capsys, tmp_path, t):
+        # True == 1: an unchecked delete would remove the point at x = 1
+        stream = tmp_path / "st.jsonl"
+        recs = [{"op": "insert", "t": 1, "y": 1, "c": "r"}, {"op": "delete", "t": t}]
+        stream.write_text("".join(json.dumps(r) + "\n" for r in recs),
+                          encoding="utf-8")
+        rc, out, err = run_cli(capsys, "replay", "--input", str(stream), "--mode", "2d")
+        assert rc == 2 and out == ""
+        assert err.startswith("error: line 2: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
 class TestSelftest:
     def test_deterministic_and_green(self, capsys):
         rc1, out1, _ = run_cli(capsys, "selftest", "--seed", "7", "--iters", "400")

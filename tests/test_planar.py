@@ -4,6 +4,7 @@ import math
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from rangemaj.errors import DuplicateKeyError
@@ -67,6 +68,16 @@ class TestBasics:
         idx = MajorityIndex2D.build([(1, 1, "r")], "1/2")
         with pytest.raises(KeyError):
             idx.delete(2)
+
+    @pytest.mark.parametrize("x", [True, "x", [1], math.nan, math.inf],
+                             ids=["bool", "str", "list", "nan", "inf"])
+    def test_delete_checks_its_coordinate(self, x):
+        # True == 1, so an unchecked delete(True) would remove the point at 1
+        idx = MajorityIndex2D.build([(1, 1, "r"), (2, 5, "b")], "1/2")
+        with pytest.raises(ValueError):
+            idx.delete(x)
+        assert list(idx.points()) == [(1, 1, "r"), (2, 5, "b")]
+        idx.audit2d()
 
     def test_coordinate_validation(self):
         idx = MajorityIndex2D("1/2")
@@ -330,6 +341,38 @@ class TestOracleEquivalence:
                 )
             if step % 1000 == 999:
                 idx.audit2d()
+        idx.audit2d()
+
+    def test_many_colours_count_on_the_unique_side(self, monkeypatch):
+        # about 6,000 colours put the registry's capacity far above the
+        # ids a rectangle joins, so queries count them with np.unique
+        rng = random.Random(808)
+        n = 9000
+        pts = [(x, rng.randrange(10_000),
+                "hot" if rng.random() < 0.3 else "c%d" % rng.randrange(50_000))
+               for x in rng.sample(range(100_000), n)]
+        idx = MajorityIndex2D.build(pts, "1/4")
+        assert idx.registry.capacity > 5000
+        mirror = NaiveStore2D()
+        for x, y, lab in pts:
+            mirror.insert(x, y, lab)
+        calls = []
+        real = np.unique
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", spy)
+        reported = 0
+        for _ in range(300):
+            w, h = int(10 ** rng.uniform(2, 5)), int(10 ** rng.uniform(1, 4))
+            xlo, ylo = rng.randrange(100_000 - w), rng.randrange(10_000 - h)
+            got = idx.query_counts(xlo, xlo + w, ylo, ylo + h)
+            m, counts = mirror.counts(xlo, xlo + w, ylo, ylo + h)
+            assert got == {lab: f for lab, f in counts.items() if 4 * f > m}
+            reported += len(got)
+        assert calls and reported
         idx.audit2d()
 
     def test_counting_layers_match_mirror(self):

@@ -2,6 +2,7 @@
 
 import gc
 import random
+from array import array
 from collections import Counter
 from itertools import islice
 from unittest import mock
@@ -17,7 +18,7 @@ from rangemaj.fuzz import FuzzDriver
 from rangemaj.oracle import NaiveStore, naive_majority
 from rangemaj.params import BRANCH
 from rangemaj.registry import ColourRegistry
-from rangemaj.tree import MajorityIndex, group_by_height
+from rangemaj.tree import MajorityIndex, count_ids, group_by_height
 
 
 def small_index(alpha="1/2", kind="int"):
@@ -537,6 +538,50 @@ class TestScanPruned:
         assert idx.query(2, 3) == {"b"}
 
 
+def spy_numpy_counts(monkeypatch) -> list:
+    """Record each np.bincount and np.unique call by name."""
+    calls = []
+    for name in ("bincount", "unique"):
+        real = getattr(np, name)
+
+        def spy(*args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np, name, spy)
+    return calls
+
+
+class TestCountIds:
+    # below 64 ids a Counter; then bincount while capacity < 2 * len + 4096
+    @pytest.mark.parametrize("n, capacity, side", [
+        (0, 10, None),
+        (1, 10, None),
+        (63, 50_000, None),
+        (64, 20, "bincount"),
+        (2000, 1500, "bincount"),
+        (64, 4223, "bincount"),
+        (64, 4224, "unique"),
+        (300, 200_000, "unique"),
+    ])
+    def test_matches_counter_on_each_side(self, monkeypatch, n, capacity, side):
+        calls = spy_numpy_counts(monkeypatch)
+        rng = random.Random(n * 7919 + capacity)
+        # skewed towards small ids, so that some repeat past every part
+        ids = array("q", (min(rng.randrange(1, capacity + 1), rng.randrange(1, capacity + 1))
+                          for _ in range(n)))
+        want = Counter(ids)
+        absent = [c for c in (1, 2, capacity // 2, capacity) if c not in want]
+        for part in (0, 1, 3, n):
+            over, count = count_ids(ids, capacity, part)
+            assert over == {c: k for c, k in want.items() if k > part}
+            assert all(type(c) is int and type(k) is int for c, k in over.items())
+            for c in list(want) + absent:
+                got = count(c)
+                assert type(got) is int and got == want[c]
+        assert set(calls) == ({side} if side else set())
+
+
 class TestRemapIntegration:
     def test_mass_deletion_compacts_labels(self):
         idx = MajorityIndex("1/2")
@@ -575,6 +620,35 @@ class TestOracleEquivalence:
             m, counts = store.counts(lo, hi)
             want = {lab: f for lab, f in counts.items() if q * f > p * m}
             assert idx.query_counts(lo, hi) == want
+
+    def test_many_colours_count_on_the_unique_side(self, monkeypatch):
+        # about 6,000 colours put the registry's capacity far above a
+        # query's joined ids, so general and pruned queries count with
+        # np.unique
+        rng = random.Random(606)
+        n = 10_000
+        pts = [(c, "hot" if rng.random() < 0.3 else "c%d" % rng.randrange(20_000))
+               for c in rng.sample(range(100_000), n)]
+        idx = MajorityIndex.build(pts, "1/4")
+        assert idx.registry.capacity > 5000
+        store = NaiveStore()
+        for c, lab in pts:
+            store.insert(c, lab)
+        calls = spy_numpy_counts(monkeypatch)
+        idx.capture_debug = True
+        windows = [(lo, lo + int(10 ** rng.uniform(1, 5)))
+                   for lo in (rng.randrange(100_000) for _ in range(300))]
+        # light nodes' exact spans take the pruned path
+        light = [v for v in idx.internal_nodes() if v.cand is None and v.weight >= 64]
+        windows += [(v.min_leaf.coord, v.max_leaf.coord) for v in light[:20]]
+        modes = Counter()
+        for lo, hi in windows:
+            m, counts = store.counts(lo, hi)
+            want = {lab: f for lab, f in counts.items() if 4 * f > m}
+            assert idx.query_counts(lo, hi) == want
+            modes[idx.last_query_debug["mode"]] += 1
+        assert modes["general"] > 100 and modes["pruned"] == 20
+        assert "unique" in calls
 
     @pytest.mark.parametrize("kind", ["int", "float", "object"])
     def test_mixed_ops_each_kind(self, kind):
