@@ -3,6 +3,7 @@
 import math
 import random
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -343,7 +344,7 @@ class TestOracleEquivalence:
                 idx.audit2d()
         idx.audit2d()
 
-    def test_many_colours_count_on_the_unique_side(self, monkeypatch):
+    def test_many_colours_count_on_the_unique_side(self):
         # about 6,000 colours put the registry's capacity far above the
         # ids a rectangle joins, so queries count them with np.unique
         rng = random.Random(808)
@@ -356,23 +357,16 @@ class TestOracleEquivalence:
         mirror = NaiveStore2D()
         for x, y, lab in pts:
             mirror.insert(x, y, lab)
-        calls = []
-        real = np.unique
-
-        def spy(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(np, "unique", spy)
         reported = 0
-        for _ in range(300):
-            w, h = int(10 ** rng.uniform(2, 5)), int(10 ** rng.uniform(1, 4))
-            xlo, ylo = rng.randrange(100_000 - w), rng.randrange(10_000 - h)
-            got = idx.query_counts(xlo, xlo + w, ylo, ylo + h)
-            m, counts = mirror.counts(xlo, xlo + w, ylo, ylo + h)
-            assert got == {lab: f for lab, f in counts.items() if 4 * f > m}
-            reported += len(got)
-        assert calls and reported
+        with mock.patch.object(np, "unique", wraps=np.unique) as unique:
+            for _ in range(300):
+                w, h = int(10 ** rng.uniform(2, 5)), int(10 ** rng.uniform(1, 4))
+                xlo, ylo = rng.randrange(100_000 - w), rng.randrange(10_000 - h)
+                got = idx.query_counts(xlo, xlo + w, ylo, ylo + h)
+                m, counts = mirror.counts(xlo, xlo + w, ylo, ylo + h)
+                assert got == {lab: f for lab, f in counts.items() if 4 * f > m}
+                reported += len(got)
+        assert unique.called and reported
         idx.audit2d()
 
     def test_counting_layers_match_mirror(self):

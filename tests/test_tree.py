@@ -538,20 +538,6 @@ class TestScanPruned:
         assert idx.query(2, 3) == {"b"}
 
 
-def spy_numpy_counts(monkeypatch) -> list:
-    """Record each np.bincount and np.unique call by name."""
-    calls = []
-    for name in ("bincount", "unique"):
-        real = getattr(np, name)
-
-        def spy(*args, _real=real, _name=name, **kwargs):
-            calls.append(_name)
-            return _real(*args, **kwargs)
-
-        monkeypatch.setattr(np, name, spy)
-    return calls
-
-
 class TestCountIds:
     # below 64 ids a Counter; then bincount while capacity < 2 * len + 4096
     @pytest.mark.parametrize("n, capacity, side", [
@@ -564,23 +550,23 @@ class TestCountIds:
         (64, 4224, "unique"),
         (300, 200_000, "unique"),
     ])
-    def test_matches_counter_on_each_side(self, monkeypatch, n, capacity, side):
-        calls = spy_numpy_counts(monkeypatch)
+    def test_matches_counter_on_each_side(self, n, capacity, side):
         rng = random.Random(n * 7919 + capacity)
         # skewed towards small ids, so that some repeat past every part
         ids = array("q", (min(rng.randrange(1, capacity + 1), rng.randrange(1, capacity + 1))
                           for _ in range(n)))
         want = Counter(ids)
         absent = [c for c in (1, 2, capacity // 2, capacity) if c not in want]
-        for part in (0, 1, 3, n):
-            over, count = count_ids(ids, capacity, part)
-            assert over == {c: k for c, k in want.items() if k > part}
-            assert all(type(c) is int and type(k) is int for c, k in over.items())
-            for c in list(want) + absent:
-                got = count(c)
-                assert type(got) is int and got == want[c]
-        assert set(calls) == ({side} if side else set())
-
+        with mock.patch.object(np, "bincount", wraps=np.bincount) as bincount, \
+                mock.patch.object(np, "unique", wraps=np.unique) as unique:
+            for part in (0, 1, 3, n):
+                over, count = count_ids(ids, capacity, part)
+                assert over == {c: k for c, k in want.items() if k > part}
+                assert all(type(c) is int and type(k) is int for c, k in over.items())
+                for c in list(want) + absent:
+                    got = count(c)
+                    assert type(got) is int and got == want[c]
+        assert (bincount.called, unique.called) == (side == "bincount", side == "unique")
 
 class TestRemapIntegration:
     def test_mass_deletion_compacts_labels(self):
@@ -621,7 +607,7 @@ class TestOracleEquivalence:
             want = {lab: f for lab, f in counts.items() if q * f > p * m}
             assert idx.query_counts(lo, hi) == want
 
-    def test_many_colours_count_on_the_unique_side(self, monkeypatch):
+    def test_many_colours_count_on_the_unique_side(self):
         # about 6,000 colours put the registry's capacity far above a
         # query's joined ids, so general and pruned queries count with
         # np.unique
@@ -634,7 +620,6 @@ class TestOracleEquivalence:
         store = NaiveStore()
         for c, lab in pts:
             store.insert(c, lab)
-        calls = spy_numpy_counts(monkeypatch)
         idx.capture_debug = True
         windows = [(lo, lo + int(10 ** rng.uniform(1, 5)))
                    for lo in (rng.randrange(100_000) for _ in range(300))]
@@ -642,13 +627,14 @@ class TestOracleEquivalence:
         light = [v for v in idx.internal_nodes() if v.cand is None and v.weight >= 64]
         windows += [(v.min_leaf.coord, v.max_leaf.coord) for v in light[:20]]
         modes = Counter()
-        for lo, hi in windows:
-            m, counts = store.counts(lo, hi)
-            want = {lab: f for lab, f in counts.items() if 4 * f > m}
-            assert idx.query_counts(lo, hi) == want
-            modes[idx.last_query_debug["mode"]] += 1
+        with mock.patch.object(np, "unique", wraps=np.unique) as unique:
+            for lo, hi in windows:
+                m, counts = store.counts(lo, hi)
+                want = {lab: f for lab, f in counts.items() if 4 * f > m}
+                assert idx.query_counts(lo, hi) == want
+                modes[idx.last_query_debug["mode"]] += 1
         assert modes["general"] > 100 and modes["pruned"] == 20
-        assert "unique" in calls
+        assert unique.called
 
     @pytest.mark.parametrize("kind", ["int", "float", "object"])
     def test_mixed_ops_each_kind(self, kind):
