@@ -25,13 +25,16 @@ records are its children's records merged.
 
 A rectangle query splits [x_lo, x_hi] into O(lg n) canonical x-pieces.
 The slices of all light pieces and the leaf pieces join, by memory
-copies, with the ids each heavy piece's sub-index collects from its
-light nodes and leaves; the joined ``array('q')`` is counted once with
-``tree.count_ids``, and the heavy pieces' listed nodes add their
-candidate lists. The tally is filtered once globally at a quarter of the
-reporting threshold (``tree.survivors``), and each survivor is verified
-by its exact count in the light and leaf pieces plus its per-colour
-counts in the heavy pieces.
+copies, with the ids each heavy piece's sub-index collects: all of its
+window's ids when the window holds at most ``prune_cutoff`` points, else
+those of its light nodes and leaves. The joined ``array('q')`` is
+counted once with ``tree.count_ids``, and the heavy pieces' listed nodes
+add their candidate lists. The tally is filtered once globally at a
+quarter of the reporting threshold (``tree.survivors``). When every
+heavy piece's ids are whole (no listed node, no height group cut), the
+count of the joined ids is already exact and answers. Otherwise each
+survivor is verified by its exact count in the light and leaf pieces
+plus its per-colour counts in the heavy pieces.
 
 Every layer below the index runs on colour ids. The index alone holds
 registry references, one per live point through its leaf: a label is
@@ -429,24 +432,26 @@ class MajorityIndex2D:
                 heavy.append(v)
         m = light = len(ids)
         listed = []
+        whole = True  # whether ids hold every point of the rectangle
         lo, hi = _ylo_key(ylo), _yhi_key(yhi)
         for v in heavy:  # their collected ids join after the light ones
-            hm, hlisted, hids = v.sub._collect(lo, hi)
+            hm, hlisted, hids, hwhole = v.sub._collect(lo, hi)
             m += hm
             listed += hlisted
             ids += hids
+            whole = whole and hwhole
         p, q = self._ap, self._aq
         tallies, count = survivors(ids, listed, p * m, q, self.registry.capacity)
         # disjoint canonical masses sum to at most m
         assert len(tallies) * p <= 4 * q, "survivor bound exceeded"
         out = {}
-        if heavy:
+        if not whole:
             # count(cid) also counts the heavy pieces' collected ids, which
             # their exact per-colour counts replace
             collected = count_ids(ids[light:], self.registry.capacity)[1]
         for cid in tallies:
             f = count(cid)
-            if heavy:
+            if not whole:
                 f += self._rect_cid_count(cid, heavy, ylo, yhi) - collected(cid)
             if q * f > p * m:
                 out[self.registry.label_of(cid)] = f

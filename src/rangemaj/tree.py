@@ -32,13 +32,23 @@ per-colour sets from sorted runs, then groups each level greedily into
 parents and counts each heavy node's list from its slice of the ids,
 with the cyclic garbage collector paused.
 
-A query snaps its endpoints to stored coordinates, splits the range
-into canonical nodes, accumulates candidate counts from the top few
-height levels only, filters at a quarter of the reporting threshold, and
-verifies survivors exactly against per-colour counting structures.
-Every key kind takes the same decomposition path; the paper's
-stride-link search for the top levels lives in ``navigation`` as a
-reproduction and is not on the query path.
+A query snaps its endpoints to stored coordinates, counts the m points
+between them, and takes one of three paths:
+
+- ``pruned``: m is at most ``prune_cutoff``, the most a light node
+  holds, so one count of the window's slice of ids answers exactly;
+- ``listed``: the window is exactly one node's span, and that node's
+  candidate list answers;
+- ``general``: the window splits into canonical nodes, candidate counts
+  accumulate from the top few height levels only, and a quarter of the
+  reporting threshold filters them. A survivor is verified against its
+  per-colour counting structure only when its tally may be short: when a
+  lower height group was cut, or a listed node does not track it.
+  Otherwise the tally is its exact count.
+
+Every key kind takes the same paths; the paper's stride-link search for
+the top levels lives in ``navigation`` as a reproduction and is not on
+the query path.
 """
 
 from __future__ import annotations
@@ -740,12 +750,17 @@ class MajorityIndex:
         return out
 
     def _top_groups(self, a, b):
-        return group_by_height(self._decompose_all(a, b))[: self.cfg.top_count]
+        """The top ``cfg.top_count`` height groups of the canonical set of
+        [a, b], and whether any group was cut below them."""
+        groups = group_by_height(self._decompose_all(a, b))
+        top = self.cfg.top_count
+        return groups[:top], len(groups) > top
 
-    def _leaf_colours(self, v) -> array:
-        """Colour ids of v's leaves, in order: v's slice of F's column."""
-        self.stats["pruned_leaf_visits"] += v.weight
-        return self.F.values_from(v.min_leaf.coord, v.weight)
+    def _slice(self, a, m) -> array:
+        """Colour ids of the m points from the stored key a on, in order:
+        a slice of F's column."""
+        self.stats["pruned_leaf_visits"] += m
+        return self.F.values_from(a, m)
 
     def _accumulate(self, groups):
         """The listed nodes of groups, whose lists the caller reads, and
@@ -759,15 +774,13 @@ class MajorityIndex:
                 elif u.cand is not None:
                     listed.append(u)
                 else:
-                    ids += self._leaf_colours(u)
+                    ids += self._slice(u.min_leaf.coord, u.weight)
         return listed, ids
 
-    def scan_pruned(self, v, a, b, m) -> dict:
-        """Exact alpha-majorities of the snapped range [a, b] when it is
-        exactly the span of light node v, by a scan of v's leaves."""
-        return count_ids(
-            self._leaf_colours(v), self.registry.capacity, self._ap * m // self._aq
-        )[0]
+    def scan_pruned(self, a, m) -> dict:
+        """Exact alpha-majorities of the m points from the stored key a
+        on, by one count of their colour ids."""
+        return count_ids(self._slice(a, m), self.registry.capacity, self._ap * m // self._aq)[0]
 
     # ---- queries ----
 
@@ -799,28 +812,30 @@ class MajorityIndex:
         m = self.F.count_range(a, b)
         p, q = self._ap, self._aq
 
-        cover = self._cover_node(a, b)
-        if cover.height == 0:
-            mode, out = "single", {cover.colour: 1}
+        # no more points than a light node holds are counted outright
+        cover = self._cover_node(a, b) if m > self.prune_cutoff else None
+        if cover is None:
+            mode, out = "pruned", self.scan_pruned(a, m)
         elif cover.min_leaf.coord == a and cover.max_leaf.coord == b:
-            if cover.cand is not None:
-                # m is cover's weight. Tracked counts are exact, and every
-                # alpha-majority of the node is a beta-majority, which the
-                # list tracks: the list alone answers.
-                mode = "listed"
-                out = {c: n for c, n in cover.cand.items() if q * n > p * m}
-            else:
-                mode, out = "pruned", self.scan_pruned(cover, a, b, m)
+            # m is cover's weight, over the cutoff, so cover is listed.
+            # Tracked counts are exact, and every alpha-majority of the
+            # node is a beta-majority, which the list tracks: the list
+            # alone answers.
+            mode = "listed"
+            out = {c: n for c, n in cover.cand.items() if q * n > p * m}
         else:
             mode = "general"
-            groups = self._top_groups(a, b)
+            groups, cut = self._top_groups(a, b)
             listed, ids = self._accumulate(groups)
             pm = p * m
             tallies, _ = survivors(ids, listed, pm, q, self.registry.capacity)
             out = {}
-            for c in tallies:
-                pc = self.per_colour.get(c)
-                f = pc.count_range(a, b) if pc is not None else 0
+            for c, f in tallies.items():
+                # With no group cut, a tally is the exact count when every
+                # listed node tracks c: tracked counts are exact.
+                if cut or any(c not in u.cand for u in listed):
+                    pc = self.per_colour.get(c)
+                    f = pc.count_range(a, b) if pc is not None else 0
                 if q * f > pm:
                     out[c] = f
             if dbg is not None:
@@ -831,23 +846,31 @@ class MajorityIndex:
         return out
 
     def _collect(self, lo, hi):
-        """(m, listed, ids) for [lo, hi]: the range's point count, then
-        ``_accumulate``'s listed nodes and joined ids, unfiltered.
+        """(m, listed, ids, whole) for [lo, hi]: the range's point count,
+        its listed nodes, the joined colour ids of the rest, unfiltered,
+        and whether those ids are the whole range's.
 
-        Serves the planar wrapper, which merges them across several
-        sub-indexes before applying its own global filter.
+        A range of at most ``prune_cutoff`` points is one slice of ids,
+        as a 1-D query scans it; a range that is exactly one node's span
+        is that listed node. Any other range collects ``_accumulate``'s
+        listed nodes and ids over its top height groups, which are whole
+        only when no node is listed and no group was cut. Serves the
+        planar wrapper, which merges them across several sub-indexes
+        before applying its own global filter.
         """
         snapped = self.snap(lo, hi)
         if snapped is None:
-            return 0, [], array("q")
+            return 0, [], array("q"), True
         a, b = snapped
         m = self.F.count_range(a, b)
+        if m <= self.prune_cutoff:
+            return m, [], self._slice(a, m), True
         cover = self._cover_node(a, b)
         if cover.min_leaf.coord == a and cover.max_leaf.coord == b:
-            groups = [(cover.height, [cover])]
-        else:
-            groups = self._top_groups(a, b)
-        return (m, *self._accumulate(groups))
+            return m, [cover], array("q"), False  # over the cutoff, so listed
+        groups, cut = self._top_groups(a, b)
+        listed, ids = self._accumulate(groups)
+        return m, listed, ids, not (listed or cut)
 
     # ---- debug audits ----
 

@@ -404,6 +404,51 @@ class TestOracleEquivalence:
             assert idx.query(xlo, xhi, ylo, yhi) == want
 
 
+class TestExactCounts:
+    """A heavy piece's window of at most its sub-index's ``prune_cutoff``
+    points is collected whole, so a rectangle whose heavy windows are all
+    that small answers from one count, without per-colour counts."""
+
+    def test_small_heavy_windows_skip_verification(self):
+        rng = random.Random(18)
+        n, alpha = 6000, "1/2"
+        pts = [(x, rng.random() * 1000, "hot" if rng.random() < 0.45 else
+                "c%d" % rng.randrange(12)) for x in rng.sample(range(100_000), n)]
+        idx = MajorityIndex2D.build(pts, alpha)
+        mirror = NaiveStore2D()
+        for x, y, lab in pts:
+            mirror.insert(x, y, lab)
+        ys = sorted(y for _, y, _ in pts)
+        cut = MajorityIndex(alpha).prune_cutoff
+        rects = []
+        # the whole x-span is one heavy piece; windows well past the cutoff
+        # hold listed nodes, so their survivors are verified
+        for m in (cut - 1, cut, cut + 1, 10 * cut, 30 * cut):
+            for i in [0, n - m] + [rng.randrange(n - m) for _ in range(5)]:
+                rects.append((0, 100_000, ys[i], ys[i + m - 1]))
+        for _ in range(300):
+            w, h = int(10 ** rng.uniform(3, 5)), 10 ** rng.uniform(-1, 3)
+            xlo, ylo = rng.randrange(100_000 - w), rng.uniform(0, max(0, 1000 - h))
+            rects.append((xlo, xlo + w, ylo, ylo + h))
+        small = big = 0
+        orig = MajorityIndex2D._rect_cid_count
+        for xlo, xhi, ylo, yhi in rects:
+            heavy = [v.sub for v in idx._pieces(xlo, xhi) if getattr(v, "sub", None)]
+            sizes = [sub.F.count_range((ylo,), (yhi, math.inf)) for sub in heavy]
+            with mock.patch.object(MajorityIndex2D, "_rect_cid_count", autospec=True,
+                                   side_effect=orig) as spy:
+                got = idx.query_counts(xlo, xhi, ylo, yhi)
+            m, counts = mirror.counts(xlo, xhi, ylo, yhi)
+            assert got == {lab: f for lab, f in counts.items() if 2 * f > m}
+            if heavy and all(k <= cut for k in sizes):
+                assert not spy.called
+                small += bool(got)
+            elif any(k > cut for k in sizes):
+                big += spy.called
+        assert small > 20 and big > 10
+        idx.audit2d()
+
+
 class TestMemory:
     def test_build_holds_no_per_colour_tally_per_sub_index(self):
         # sub-indexes never tally; with many colours, slots sized to the

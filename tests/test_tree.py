@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rangemaj.counted_set import TARGET_BLOCK
+from rangemaj.counted_set import TARGET_BLOCK, CountedOrderedSet
 from rangemaj.errors import DuplicateKeyError
 from rangemaj.fuzz import FuzzDriver
 from rangemaj.oracle import NaiveStore, naive_majority
@@ -417,13 +417,14 @@ class TestQueryPaths:
         idx = MajorityIndex.build([(1, "r"), (2, "b"), (3, "r")], "1/2")
         idx.capture_debug = True
         assert idx.query(1, 3) == {"r"}
-        assert idx.last_query_debug["mode"] in ("pruned", "listed", "single")
+        assert idx.last_query_debug["mode"] == "pruned"
 
     def test_single_leaf_path(self):
+        # one point is no more than a light node holds: it is scanned
         idx = MajorityIndex.build([(i, "c%d" % i) for i in range(100)], "1/2")
         idx.capture_debug = True
         assert idx.query(17, 17) == {"c17"}
-        assert idx.last_query_debug["mode"] == "single"
+        assert idx.last_query_debug["mode"] == "pruned"
 
     def test_listed_exact_cover(self):
         idx = MajorityIndex.build([(i, "maj" if i % 2 else "c%d" % i) for i in range(512)], "1/2")
@@ -519,6 +520,151 @@ def iter_leaves(node):
             stack.extend(v.children)
         else:
             yield v
+
+
+def oracle_answer(store, lo, hi, idx):
+    """The strict alpha-majorities of [lo, hi] with counts, and m."""
+    p, q = idx._ap, idx._aq
+    m, counts = store.counts(lo, hi)
+    return {lab: f for lab, f in counts.items() if q * f > p * m}, m
+
+
+class TestScanCutoff:
+    """Windows of at most ``prune_cutoff`` points are counted outright."""
+
+    @pytest.mark.parametrize("kind", ["int", "float", "object"])
+    @pytest.mark.parametrize("alpha", ["1/2", "1/4", "1/10", "1/100"])
+    def test_windows_around_the_cutoff(self, alpha, kind):
+        rng = random.Random(f"{alpha} {kind}")
+        cut = MajorityIndex(alpha).prune_cutoff
+        n = 2 * cut + 200
+        xs = sorted(rng.sample(range(10 * n), n))
+        if kind == "float":
+            xs = [x + 0.25 for x in xs]
+        pts = [(x, "hot" if rng.random() < 0.52 else "c%d" % rng.randrange(6)) for x in xs]
+        idx = MajorityIndex.build(pts, alpha, kind)
+        store = NaiveStore()
+        for x, lab in pts:
+            store.insert(x, lab)
+        idx.capture_debug = True
+        modes = {cut - 1: {"pruned"}, cut: {"pruned"}, cut + 1: {"general", "listed"}}
+        reported = 0
+        for m, allowed in modes.items():
+            for i in [0, n - m] + [rng.randrange(n - m) for _ in range(6)]:
+                lo, hi = xs[i], xs[i + m - 1]
+                want, got_m = oracle_answer(store, lo, hi, idx)
+                assert got_m == m
+                got = idx.query_counts(lo, hi)
+                assert got == want
+                assert idx.last_query_debug["mode"] in allowed
+                assert idx.last_query_debug["m"] == m
+                reported += len(got)
+        assert reported
+        idx.audit_tree(deep=True)
+
+
+def drifting_index(seed, n, alpha, churn):
+    """An index whose colours drift with the coordinate, plus noise, so
+    that a window's frequent colour is often absent from a listed node
+    at its far end; churn recolours points afterwards, so lists go
+    stale. Returns the index and its mirror."""
+    rng = random.Random(seed)
+    span = 20 * n
+
+    def colour(x):
+        return "d%d" % (x // (span // 25)) if rng.random() < 0.6 else "n%d" % rng.randrange(30)
+
+    xs = rng.sample(range(span), n)
+    label = {x: colour(x) for x in xs}
+    idx = MajorityIndex.build(label.items(), alpha)
+    for _ in range(churn):
+        x = rng.choice(xs)
+        idx.delete(x)
+        label[x] = colour(x)
+        idx.insert(x, label[x])
+    store = NaiveStore()
+    for x, lab in label.items():
+        store.insert(x, lab)
+    return idx, store
+
+
+def general_queries(idx, store, seed, count):
+    """Run count log-uniform windows against the oracle, and yield for
+    each general one (cut, listed nodes, survivors, counted), where
+    counted lists the per-colour sets the query counted, in call order."""
+    rng = random.Random(seed)
+    lo_key, hi_key = idx.F.successor(-1), idx.F.predecessor(1 << 62)
+    idx.capture_debug = True
+    for _ in range(count):
+        lo = rng.randrange(lo_key, hi_key)
+        hi = lo + int(10 ** rng.uniform(2, 6))
+        want, _ = oracle_answer(store, lo, hi, idx)
+        with mock.patch.object(CountedOrderedSet, "count_range", autospec=True,
+                               side_effect=CountedOrderedSet.count_range) as spy:
+            assert idx.query_counts(lo, hi) == want
+        dbg = idx.last_query_debug
+        if dbg["mode"] != "general":
+            continue
+        a, b = dbg["snapped"]
+        cut = len(group_by_height(idx._decompose_all(a, b))) > idx.cfg.top_count
+        listed = [v for _, ns in dbg["groups"] for v in ns if v.cand is not None]
+        counted = [c.args[0] for c in spy.call_args_list if c.args[0] is not idx.F]
+        yield cut, listed, dict(dbg["drained"]), counted
+
+
+class TestExactTallies:
+    """A survivor's tally is its exact count when no height group was cut
+    and every listed node tracks it; only other survivors are verified."""
+
+    def test_uncut_tracked_survivors_count_nothing(self):
+        idx, store = drifting_index(seed=1, n=30_000, alpha="1/10", churn=0)
+        seen = with_lists = 0
+        for cut, listed, drained, counted in general_queries(idx, store, 2, 1500):
+            if cut or any(c not in u.cand for u in listed for c in drained):
+                continue
+            assert counted == []
+            seen += 1
+            with_lists += bool(listed and drained)
+        assert seen > 50 and with_lists > 10
+        idx.audit_tree(deep=True)
+
+    def test_survivor_missing_from_a_stale_list_is_counted(self):
+        idx, store = drifting_index(seed=3, n=30_000, alpha="1/10", churn=4000)
+        missing = 0
+        for cut, listed, drained, counted in general_queries(idx, store, 4, 1500):
+            if cut:
+                continue
+            # uncut: exactly the survivors some listed node omits, once each
+            short = [c for c in drained if any(c not in u.cand for u in listed)]
+            assert sorted(map(id, counted)) == sorted(id(idx.per_colour[c]) for c in short)
+            missing += any(
+                c not in u.cand and u.staleness for c in drained for u in listed
+            )
+        assert missing > 10
+        idx.audit_tree(deep=True)
+
+    def test_cut_query_counts_every_survivor(self):
+        idx, store = drifting_index(seed=5, n=30_000, alpha="1/10", churn=1000)
+        cuts = 0
+        for cut, listed, drained, counted in general_queries(idx, store, 6, 600):
+            if not cut:
+                continue
+            assert sorted(map(id, counted)) == sorted(
+                id(idx.per_colour[c]) for c in drained
+            )
+            cuts += bool(drained)
+        assert cuts > 50
+        idx.audit_tree(deep=True)
+
+    def test_lemma_audits_stay_live_at_one_percent(self):
+        # most windows of the criterion 2 runs now fit under the cutoff of
+        # 4,094 points at alpha = 1/100; a larger index keeps the mass
+        # bounds audited on many general queries
+        d = FuzzDriver("1/100", seed=100, lemma_audits=True)
+        d.seed_points(40_000)
+        while d.auditor.checks < 500 and d.queries < 5000:
+            d.do_query()
+        assert d.auditor.checks == d.general_queries >= 500
 
 
 class TestScanPruned:
@@ -625,15 +771,20 @@ class TestOracleEquivalence:
                    for lo in (rng.randrange(100_000) for _ in range(300))]
         # light nodes' exact spans take the pruned path
         light = [v for v in idx.internal_nodes() if v.cand is None and v.weight >= 64]
+        assert len(light) >= 20
         windows += [(v.min_leaf.coord, v.max_leaf.coord) for v in light[:20]]
         modes = Counter()
+        # the 20 light spans and the non-empty windows of at most
+        # prune_cutoff points
+        small = 0
         with mock.patch.object(np, "unique", wraps=np.unique) as unique:
             for lo, hi in windows:
                 m, counts = store.counts(lo, hi)
                 want = {lab: f for lab, f in counts.items() if 4 * f > m}
                 assert idx.query_counts(lo, hi) == want
                 modes[idx.last_query_debug["mode"]] += 1
-        assert modes["general"] > 100 and modes["pruned"] == 20
+                small += 0 < m <= idx.prune_cutoff
+        assert modes["general"] > 100 and modes["pruned"] == small
         assert unique.called
 
     @pytest.mark.parametrize("kind", ["int", "float", "object"])
