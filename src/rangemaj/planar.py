@@ -25,16 +25,17 @@ records are its children's records merged.
 
 A rectangle query splits [x_lo, x_hi] into O(lg n) canonical x-pieces.
 The slices of all light pieces and the leaf pieces join, by memory
-copies, with the ids each heavy piece's sub-index collects: all of its
-window's ids when the window holds at most ``prune_cutoff`` points, else
-those of its light nodes and leaves. The joined ``array('q')`` is
-counted once with ``tree.count_ids``, and the heavy pieces' listed nodes
-add their candidate lists. The tally is filtered once globally at a
-quarter of the reporting threshold (``tree.survivors``). When every
-heavy piece's ids are whole (no listed node, no height group cut), the
-count of the joined ids is already exact and answers. Otherwise each
-survivor is verified by its exact count in the light and leaf pieces
-plus its per-colour counts in the heavy pieces.
+copies, with the ids each heavy piece's sub-index collects
+(``MajorityIndex._collect``): all of its window's ids when the window
+holds at most ``prune_cutoff`` points, else those of its light nodes and
+leaves. The joined ``array('q')``, the heavy pieces' listed nodes and
+whether any of their height groups was cut go to the 1-D queries'
+finish, ``tree.answer``, once. With no listed node and no cut, one count
+of the joined ids answers. Otherwise the tally is filtered globally at a
+quarter of the reporting threshold, and a survivor is verified only when
+a group was cut or a listed node does not track it: by its count in the
+light and leaf pieces' ids plus its per-colour counts in the heavy
+pieces.
 
 Every layer below the index runs on colour ids. The index alone holds
 registry references, one per live point through its leaf: a label is
@@ -59,7 +60,7 @@ import numpy as np
 from .errors import DuplicateKeyError
 from .params import AlphaConfig
 from .registry import ColourRegistry
-from .tree import MajorityIndex, count_ids, survivors
+from .tree import MajorityIndex, answer, count_ids
 
 RATIO_NUM, RATIO_DEN = 7, 10  # scapegoat trigger: child weight > 0.7 * node weight
 LIGHT_LISTS = 16  # light cutoff L = LIGHT_LISTS * list_size points
@@ -432,30 +433,27 @@ class MajorityIndex2D:
                 heavy.append(v)
         m = light = len(ids)
         listed = []
-        whole = True  # whether ids hold every point of the rectangle
+        cut = False
         lo, hi = _ylo_key(ylo), _yhi_key(yhi)
         for v in heavy:  # their collected ids join after the light ones
-            hm, hlisted, hids, hwhole = v.sub._collect(lo, hi)
+            hm, hlisted, hids, hcut = v.sub._collect(lo, hi)
             m += hm
             listed += hlisted
             ids += hids
-            whole = whole and hwhole
-        p, q = self._ap, self._aq
-        tallies, count = survivors(ids, listed, p * m, q, self.registry.capacity)
-        # disjoint canonical masses sum to at most m
-        assert len(tallies) * p <= 4 * q, "survivor bound exceeded"
-        out = {}
-        if not whole:
-            # count(cid) also counts the heavy pieces' collected ids, which
-            # their exact per-colour counts replace
-            collected = count_ids(ids[light:], self.registry.capacity)[1]
-        for cid in tallies:
-            f = count(cid)
-            if not whole:
-                f += self._rect_cid_count(cid, heavy, ylo, yhi) - collected(cid)
-            if q * f > p * m:
-                out[self.registry.label_of(cid)] = f
-        return out
+            cut = cut or hcut
+        out, _ = answer(
+            m, listed, ids, cut, self._ap, self._aq, self.registry.capacity,
+            self._rect_exact, ids, light, heavy, ylo, yhi,
+        )
+        label = self.registry.label_of
+        return {label(cid): f for cid, f in out.items()}
+
+    def _rect_exact(self, cids, ids, light, heavy, ylo, yhi) -> list:
+        """The counts of the colour ids cids in a rectangle: in the first
+        light of the joined ids, from its leaf and light pieces, plus in
+        its heavy pieces."""
+        own = count_ids(ids[:light], self.registry.capacity)[1]
+        return [own(c) + self._rect_cid_count(c, heavy, ylo, yhi) for c in cids]
 
     # ---- audits ----
 

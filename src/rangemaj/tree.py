@@ -32,19 +32,24 @@ per-colour sets from sorted runs, then groups each level greedily into
 parents and counts each heavy node's list from its slice of the ids,
 with the cyclic garbage collector paused.
 
-A query snaps its endpoints to stored coordinates, counts the m points
-between them, and takes one of three paths:
+A query snaps its endpoints to stored coordinates and counts the m
+points between them. One collector, ``_collect``, then takes one of two
+paths:
 
 - ``pruned``: m is at most ``prune_cutoff``, the most a light node
-  holds, so one count of the window's slice of ids answers exactly;
-- ``listed``: the window is exactly one node's span, and that node's
-  candidate list answers;
-- ``general``: the window splits into canonical nodes, candidate counts
-  accumulate from the top few height levels only, and a quarter of the
-  reporting threshold filters them. A survivor is verified against its
-  per-colour counting structure only when its tally may be short: when a
-  lower height group was cut, or a listed node does not track it.
-  Otherwise the tally is its exact count.
+  holds, so the ids are the window's slice of F's column;
+- ``general``: the window splits into canonical nodes, starting from
+  the deepest node that covers it, so an exact cover is one listed
+  node. The top few height levels give the listed nodes, whose lists
+  the tally reads, and the ids of the leaves and light nodes.
+
+One finish, ``answer``, serves every 1-D and planar query. When no node
+is listed and no height group was cut, the ids are the whole window and
+one count of them answers. Otherwise a quarter of the reporting
+threshold filters the tallies, and a survivor is verified by an exact
+count only when its tally may be short: when a lower height group was
+cut, or a listed node does not track it. Otherwise the tally is its
+exact count.
 
 Every key kind takes the same paths; the paper's stride-link search for
 the top levels lives in ``navigation`` as a reproduction and is not on
@@ -122,11 +127,21 @@ def count_ids(ids, capacity, part=0):
     return dict(zip(vals[keep].tolist(), counts[keep].tolist())), count
 
 
-def survivors(ids, listed, pm, q, capacity):
-    """Colour ids whose tally exceeds alpha*m/4, with their tallies, and
-    the count function of ids. Here alpha = p/q and pm = p*m; a colour's
-    tally is its count in the array('q') ids, which holds ids at most
-    capacity, plus its counts in the lists of the listed nodes."""
+def answer(m, listed, ids, cut, p, q, capacity, exact, *at):
+    """The strict alpha-majorities of a range of m points, alpha = p/q,
+    as a dict from colour id to exact count, and the tallies it kept.
+
+    The range's points are those of the listed nodes, whose lists hold
+    exact counts of the colours they track, and those whose colour ids
+    are in the array('q') ids, each at most capacity; cut says that some
+    height group of the range was left out. exact(cs, *at) lists the
+    counts in the range of the colours cs, the survivors whose tally may
+    be short.
+    """
+    pm = p * m
+    if not (listed or cut):  # the ids are the whole range's
+        out = count_ids(ids, capacity, pm // q)[0]
+        return out, out
     # Pigeonhole: split the tally into K parts, one per listed node plus
     # ids. A colour whose tally exceeds T = alpha*m/4 holds more than T/K
     # in some part. A list is in count-descending order at its rebuild,
@@ -137,8 +152,6 @@ def survivors(ids, listed, pm, q, capacity):
     # n > x // d, so each test below is one integer compare.
     part = pm // (4 * q * (len(listed) + 1))  # floor(T/K)
     over, count = count_ids(ids, capacity, part)
-    if not listed:  # K = 1: the ids alone are the tally
-        return over, count
     cands = set(over)
     for u in listed:
         stop = part - u.staleness
@@ -147,14 +160,22 @@ def survivors(ids, listed, pm, q, capacity):
                 break
             cands.add(c)
     quarter = pm // (4 * q)  # floor(T)
-    out = {}
+    tallies = {}
     for c in cands:
         tally = count(c)
         for u in listed:
             tally += u.cand.get(c, 0)
         if tally > quarter:
-            out[c] = tally
-    return out, count
+            tallies[c] = tally
+    # tallies never exceed the true counts, which sum to m
+    assert len(tallies) * p <= 4 * q, "survivor bound exceeded"
+    # With no group cut, a tally is the exact count when every listed
+    # node tracks its colour: tracked counts are exact.
+    counts = dict(tallies)
+    short = [c for c in tallies if cut or any(c not in u.cand for u in listed)]
+    if short:
+        counts.update(zip(short, exact(short, *at)))
+    return {c: f for c, f in counts.items() if q * f > pm}, tallies
 
 
 def top_colours(ids, k, capacity) -> dict:
@@ -721,13 +742,13 @@ class MajorityIndex:
         return v
 
     def _decompose_all(self, a, b):
-        root = self.root
-        if root.height == 0:
-            return [root] if a <= root.coord <= b else []
-        if a <= root.min_leaf.coord and root.max_leaf.coord <= b:
-            return [root]
+        """The maximal nodes inside [a, b], which partition its points:
+        the deepest node covering [a, b] when that is exactly [a, b]."""
+        v = self._cover_node(a, b)
+        if a <= v.min_leaf.coord and v.max_leaf.coord <= b:
+            return [v]
         out = []
-        stack = [root]
+        stack = [v] if v.height else []
         while stack:
             v = stack.pop()
             for c in v.children:
@@ -756,12 +777,6 @@ class MajorityIndex:
         top = self.cfg.top_count
         return groups[:top], len(groups) > top
 
-    def _slice(self, a, m) -> array:
-        """Colour ids of the m points from the stored key a on, in order:
-        a slice of F's column."""
-        self.stats["pruned_leaf_visits"] += m
-        return self.F.values_from(a, m)
-
     def _accumulate(self, groups):
         """The listed nodes of groups, whose lists the caller reads, and
         the colour ids of their leaves and light nodes as one array('q')."""
@@ -774,13 +789,14 @@ class MajorityIndex:
                 elif u.cand is not None:
                     listed.append(u)
                 else:
-                    ids += self._slice(u.min_leaf.coord, u.weight)
+                    ids += self.scan_pruned(u.min_leaf.coord, u.weight)
         return listed, ids
 
-    def scan_pruned(self, a, m) -> dict:
-        """Exact alpha-majorities of the m points from the stored key a
-        on, by one count of their colour ids."""
-        return count_ids(self._slice(a, m), self.registry.capacity, self._ap * m // self._aq)[0]
+    def scan_pruned(self, a, m) -> array:
+        """Colour ids of the m points from the stored key a on, in order:
+        a slice of F's column."""
+        self.stats["pruned_leaf_visits"] += m
+        return self.F.values_from(a, m)
 
     # ---- queries ----
 
@@ -798,79 +814,49 @@ class MajorityIndex:
         lo = self._query_bound(lo, "lo")
         hi = self._query_bound(hi, "hi")
         self.stats["queries"] += 1
+        m, listed, ids, cut = self._collect(lo, hi)
+        out, tallies = answer(
+            m, listed, ids, cut, self._ap, self._aq, self.registry.capacity,
+            self._colour_counts, lo, hi,
+        )
+        if self.capture_debug:
+            self.last_query_debug.update(drained=list(tallies.items()), result=out)
+        return out
+
+    def _colour_counts(self, cids, lo, hi) -> list:
+        per = self.per_colour
+        return [per[c].count_range(lo, hi) if c in per else 0 for c in cids]
+
+    def _collect(self, lo, hi):
+        """(m, listed, ids, cut) for [lo, hi]: the range's point count,
+        its listed nodes, the joined colour ids of the rest, and whether
+        a height group was left out; ``answer`` finishes them.
+
+        A range of at most ``prune_cutoff`` points is one slice of ids.
+        Any other range collects ``_accumulate``'s listed nodes and ids
+        over its top height groups. The planar index merges these across
+        several sub-indexes before it finishes them.
+        """
         dbg = None
         if self.capture_debug:
             dbg = self.last_query_debug = {
                 "snapped": None, "m": 0, "mode": "empty", "groups": None, "drained": None
             }
-        if self.root is None or lo > hi:
-            return {}
         snapped = self.snap(lo, hi)
         if snapped is None:
-            return {}
+            return 0, [], array("q"), False
         a, b = snapped
         m = self.F.count_range(a, b)
-        p, q = self._ap, self._aq
-
-        # no more points than a light node holds are counted outright
-        cover = self._cover_node(a, b) if m > self.prune_cutoff else None
-        if cover is None:
-            mode, out = "pruned", self.scan_pruned(a, m)
-        elif cover.min_leaf.coord == a and cover.max_leaf.coord == b:
-            # m is cover's weight, over the cutoff, so cover is listed.
-            # Tracked counts are exact, and every alpha-majority of the
-            # node is a beta-majority, which the list tracks: the list
-            # alone answers.
-            mode = "listed"
-            out = {c: n for c, n in cover.cand.items() if q * n > p * m}
+        groups, cut = None, False
+        if m <= self.prune_cutoff:
+            listed, ids = [], self.scan_pruned(a, m)
         else:
-            mode = "general"
             groups, cut = self._top_groups(a, b)
             listed, ids = self._accumulate(groups)
-            pm = p * m
-            tallies, _ = survivors(ids, listed, pm, q, self.registry.capacity)
-            out = {}
-            for c, f in tallies.items():
-                # With no group cut, a tally is the exact count when every
-                # listed node tracks c: tracked counts are exact.
-                if cut or any(c not in u.cand for u in listed):
-                    pc = self.per_colour.get(c)
-                    f = pc.count_range(a, b) if pc is not None else 0
-                if q * f > pm:
-                    out[c] = f
-            if dbg is not None:
-                dbg["groups"] = groups
-                dbg["drained"] = list(tallies.items())
         if dbg is not None:
-            dbg.update(snapped=(a, b), m=m, mode=mode, result=out)
-        return out
-
-    def _collect(self, lo, hi):
-        """(m, listed, ids, whole) for [lo, hi]: the range's point count,
-        its listed nodes, the joined colour ids of the rest, unfiltered,
-        and whether those ids are the whole range's.
-
-        A range of at most ``prune_cutoff`` points is one slice of ids,
-        as a 1-D query scans it; a range that is exactly one node's span
-        is that listed node. Any other range collects ``_accumulate``'s
-        listed nodes and ids over its top height groups, which are whole
-        only when no node is listed and no group was cut. Serves the
-        planar wrapper, which merges them across several sub-indexes
-        before applying its own global filter.
-        """
-        snapped = self.snap(lo, hi)
-        if snapped is None:
-            return 0, [], array("q"), True
-        a, b = snapped
-        m = self.F.count_range(a, b)
-        if m <= self.prune_cutoff:
-            return m, [], self._slice(a, m), True
-        cover = self._cover_node(a, b)
-        if cover.min_leaf.coord == a and cover.max_leaf.coord == b:
-            return m, [cover], array("q"), False  # over the cutoff, so listed
-        groups, cut = self._top_groups(a, b)
-        listed, ids = self._accumulate(groups)
-        return m, listed, ids, not (listed or cut)
+            mode = "general" if groups else "pruned"
+            dbg.update(snapped=(a, b), m=m, mode=mode, groups=groups)
+        return m, listed, ids, cut
 
     # ---- debug audits ----
 

@@ -8,11 +8,12 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from rangemaj import planar
 from rangemaj.errors import DuplicateKeyError
 from rangemaj.oracle import NaiveStore2D, naive_majority_2d
 from rangemaj.params import AlphaConfig
 from rangemaj.planar import MajorityIndex2D
-from rangemaj.tree import MajorityIndex
+from rangemaj.tree import MajorityIndex, answer
 
 
 def mirrored_pair(alpha, n, rng, x_span=50000, y_span=300, colours=8, zipf=False):
@@ -404,10 +405,67 @@ class TestOracleEquivalence:
             assert idx.query(xlo, xhi, ylo, yhi) == want
 
 
+def drifting_plane(seed, n, churn):
+    """An alpha = 1/10 index whose colours drift with y, plus noise, so
+    that a heavy window's frequent colour is often absent from a listed
+    node at its far end; churn recolours points afterwards, so lists go
+    stale. Returns the index, its mirror and the generator."""
+    rng = random.Random(seed)
+
+    def colour(y):
+        return "d%d" % (y // 40) if rng.random() < 0.6 else "n%d" % rng.randrange(30)
+
+    xs = rng.sample(range(100_000), n)
+    ys = {x: rng.randrange(1000) for x in xs}
+    label = {x: colour(ys[x]) for x in xs}
+    idx = MajorityIndex2D.build([(x, ys[x], label[x]) for x in xs], "1/10")
+    for x in rng.sample(xs, churn):
+        idx.delete(x)
+        label[x] = colour(ys[x])
+        idx.insert(x, ys[x], label[x])
+    mirror = NaiveStore2D()
+    for x in xs:
+        mirror.insert(x, ys[x], label[x])
+    return idx, mirror, rng
+
+
+def finished(idx, mirror, rect):
+    """Answer rect, check it against the mirror, and return the listed
+    nodes, cut flag and survivors that the query's finish saw, and the
+    colour ids that ``_rect_cid_count`` verified."""
+    seen = []
+
+    def spy_answer(*args):
+        out = answer(*args)
+        seen.append((args[1], args[3], out[1]))
+        return out
+
+    with mock.patch.object(planar, "answer", side_effect=spy_answer), \
+            mock.patch.object(MajorityIndex2D, "_rect_cid_count", autospec=True,
+                              side_effect=MajorityIndex2D._rect_cid_count) as spy:
+        got = idx.query_counts(*rect)
+    m, counts = mirror.counts(*rect)
+    assert got == {lab: f for lab, f in counts.items() if 10 * f > m}
+    (listed, cut, tallies), = seen
+    return listed, cut, tallies, [c.args[1] for c in spy.call_args_list]
+
+
+def tall_rects(rng, count):
+    """Rectangles a tenth of the x-span wide or wider, a fifth of them
+    the whole span, 30 to 1,000 units tall."""
+    for _ in range(count):
+        w, h = int(10 ** rng.uniform(4.5, 5)), int(10 ** rng.uniform(1.5, 3))
+        xlo = rng.randrange(100_000 - w) if rng.random() < 0.8 else 0
+        ylo = rng.randrange(1001 - h)
+        yield xlo, xlo + w if xlo else 100_000, ylo, ylo + h
+
+
 class TestExactCounts:
     """A heavy piece's window of at most its sub-index's ``prune_cutoff``
     points is collected whole, so a rectangle whose heavy windows are all
-    that small answers from one count, without per-colour counts."""
+    that small answers from one count, without per-colour counts. Past
+    that, a survivor is verified only when a height group was cut or a
+    listed node does not track it."""
 
     def test_small_heavy_windows_skip_verification(self):
         rng = random.Random(18)
@@ -446,6 +504,32 @@ class TestExactCounts:
             elif any(k > cut for k in sizes):
                 big += spy.called
         assert small > 20 and big > 10
+        idx.audit2d()
+
+    def test_uncut_tracked_survivors_count_nothing(self):
+        idx, mirror, rng = drifting_plane(seed=7, n=20_000, churn=0)
+        seen = 0
+        for rect in tall_rects(rng, 500):
+            listed, cut, tallies, verified = finished(idx, mirror, rect)
+            if cut or not listed or any(c not in u.cand for u in listed for c in tallies):
+                continue
+            assert verified == []
+            seen += bool(tallies)
+        assert seen > 5
+
+    def test_survivor_missing_from_a_stale_list_is_counted(self):
+        idx, mirror, rng = drifting_plane(seed=9, n=20_000, churn=2000)
+        missing = cuts = 0
+        for rect in tall_rects(rng, 300):
+            listed, cut, tallies, verified = finished(idx, mirror, rect)
+            # cut: every survivor, else those some listed node omits, once each
+            short = [c for c in tallies if cut or any(c not in u.cand for u in listed)]
+            assert sorted(verified) == sorted(short)
+            cuts += cut
+            missing += not cut and any(
+                c not in u.cand and u.staleness for c in tallies for u in listed
+            )
+        assert missing > 10 and cuts > 5
         idx.audit2d()
 
 

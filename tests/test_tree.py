@@ -429,8 +429,12 @@ class TestQueryPaths:
     def test_listed_exact_cover(self):
         idx = MajorityIndex.build([(i, "maj" if i % 2 else "c%d" % i) for i in range(512)], "1/2")
         idx.capture_debug = True
+        visits = idx.stats["pruned_leaf_visits"]
         got = idx.query_counts(0, 511)
-        assert idx.last_query_debug["mode"] == "listed"
+        # the exact cover is the root: general, its one group the root alone
+        assert idx.last_query_debug["mode"] == "general"
+        assert idx.last_query_debug["groups"] == [(idx.root.height, [idx.root])]
+        assert idx.stats["pruned_leaf_visits"] == visits  # no slice was read
         assert got == {}  # 256 of 512 is exactly half, strictness excludes it
         idx.delete(0)
         assert idx.query(0, 511) == {"maj"}
@@ -460,11 +464,13 @@ class TestQueryPaths:
         idx.capture_debug = True
         nodes = [v for v in idx.internal_nodes() if v.cand is not None]
         assert any(v.staleness for v in nodes)
+        visits = idx.stats["pruned_leaf_visits"]
         reported = 0
         for v in nodes:
             a, b = v.min_leaf.coord, v.max_leaf.coord
             got = idx.query_counts(a, b)
-            assert idx.last_query_debug["mode"] == "listed"
+            assert idx.last_query_debug["mode"] == "general"
+            assert idx.last_query_debug["groups"] == [(v.height, [v])]
             counts: dict = {}
             for x, lab in colour.items():
                 if a <= x <= b:
@@ -473,6 +479,7 @@ class TestQueryPaths:
             reported += len(got)
         assert reported
         assert verified == []
+        assert idx.stats["pruned_leaf_visits"] == visits
 
     def test_general_path_matches_oracle(self):
         rng = random.Random(12)
@@ -511,6 +518,48 @@ class TestQueryPaths:
             hs = [h for h, _ in groups]
             assert hs == sorted(hs, reverse=True)
 
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(
+        kind=st.sampled_from(["int", "float", "object"]),
+        n=st.integers(min_value=1, max_value=700),
+        seed=st.integers(min_value=0, max_value=2**16),
+        data=st.data(),
+    )
+    def test_decompose_all_gives_maximal_nodes_of_any_window(self, kind, n, seed, data):
+        key = {"int": lambda i: 3 * i - 500, "float": lambda i: i / 4 - 7.5,
+               "object": lambda i: ("k", i)}[kind]
+        keys = [key(i) for i in range(n)]
+        order = random.Random(seed).sample(keys, n)
+        # bulk-built, then grown by inserts, so that nodes split unevenly
+        built = data.draw(st.integers(min_value=0, max_value=n))
+        idx = MajorityIndex.build([(x, "c") for x in order[:built]], "1/2", kind)
+        for x in order[built:]:
+            idx.insert(x, "c")
+        shape = data.draw(st.sampled_from(["any", "node", "leaf", "whole"]))
+        if shape == "node":
+            node = data.draw(st.sampled_from([idx.root, *idx.internal_nodes(), *idx.leaves()]))
+            i, j = keys.index(node.min_leaf.coord), keys.index(node.max_leaf.coord)
+        elif shape == "leaf":
+            i = j = data.draw(st.integers(min_value=0, max_value=n - 1))
+        elif shape == "whole":
+            i, j = 0, n - 1
+        else:
+            i = data.draw(st.integers(min_value=0, max_value=n - 1))
+            j = data.draw(st.integers(min_value=i, max_value=n - 1))
+        a, b = keys[i], keys[j]
+        out = idx._decompose_all(a, b)
+        # disjoint, and together exactly the window's points
+        assert sum(v.weight for v in out) == j - i + 1
+        assert sorted(lf.coord for v in out for lf in iter_leaves(v)) == keys[i : j + 1]
+        # maximal: no node's parent lies inside the window
+        for v in out:
+            up = v.parent
+            assert up is None or up.min_leaf.coord < a or up.max_leaf.coord > b
+        if shape == "node":
+            assert out == [node]
+        elif shape == "whole":
+            assert out == [idx.root]
+
 
 def iter_leaves(node):
     stack = [node]
@@ -547,7 +596,7 @@ class TestScanCutoff:
         for x, lab in pts:
             store.insert(x, lab)
         idx.capture_debug = True
-        modes = {cut - 1: {"pruned"}, cut: {"pruned"}, cut + 1: {"general", "listed"}}
+        modes = {cut - 1: {"pruned"}, cut: {"pruned"}, cut + 1: {"general"}}
         reported = 0
         for m, allowed in modes.items():
             for i in [0, n - m] + [rng.randrange(n - m) for _ in range(6)]:
@@ -874,16 +923,22 @@ def missed_without_staleness(groups, m, p, q) -> set:
 
 def assert_survivors_complete(idx) -> None:
     """The last general query's drained pairs hold every colour whose full
-    top-group tally exceeds alpha*m/4, each with exactly that tally."""
+    top-group tally exceeds alpha*m/4, each with exactly that tally. A
+    whole window (no listed node, no group cut) is not filtered: its one
+    count keeps the colours over alpha*m."""
     dbg = idx.last_query_debug
     p, q = idx._ap, idx._aq
+    a, b = dbg["snapped"]
     full = top_group_tally(dbg["groups"])
     drained = dict(dbg["drained"])
     assert len(drained) == len(dbg["drained"])
     for c, n in drained.items():
         assert n == full[c]
+    listed = any(v.cand is not None for _, ns in dbg["groups"] for v in ns)
+    cut = len(group_by_height(idx._decompose_all(a, b))) > idx.cfg.top_count
+    part = 4 if listed or cut else 1
     for c, n in full.items():
-        if 4 * q * n > p * dbg["m"]:
+        if part * q * n > p * dbg["m"]:
             assert drained.get(c) == n
 
 
