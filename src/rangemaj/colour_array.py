@@ -12,7 +12,9 @@ relabel. A re-spread keeps the order of the keys, so the integer
 majority index renames the window's keys in place (``relabel``) and
 sees one insert, for the new slot; the moved-key count is the exported
 cost measure. ``from_colours`` builds an array in one bulk index build
-over evenly spread labels.
+over evenly spread labels. The array keeps only the labels: a slot's
+colour is the index's colour id at its label, read back through the
+registry.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ class DynamicColourArray:
     def __init__(self, alpha):
         self.engine = MajorityIndex(alpha, "int")
         self._labels: list[int] = []
-        self._colours: list = []
         self.moves = 0  # keys relabelled by respreads
         self.ops = 0
 
@@ -63,10 +64,10 @@ class DynamicColourArray:
         over the universe as by a top-level respread, built in one bulk
         index build from the labels, which are in order already."""
         self = cls(alpha)
-        self._colours = list(colours)
-        self._labels = _spread(0, UNIVERSE, len(self._colours))
+        colours = list(colours)
+        self._labels = _spread(0, UNIVERSE, len(colours))
         engine = self.engine
-        engine._load_sorted(self._labels, engine.registry.intern_all(self._colours))
+        engine._load_sorted(self._labels, engine.registry.intern_all(colours))
         return self
 
     def __len__(self) -> int:
@@ -139,7 +140,6 @@ class DynamicColourArray:
         """Insert colour between positions i-1 and i (1 <= i <= n+1)."""
         self._check_pos(i, len(self._labels) + 1)
         self._labels.insert(i - 1, None)
-        self._colours.insert(i - 1, colour)
         self._assign(i - 1, colour)
         self.ops += 1
 
@@ -150,7 +150,6 @@ class DynamicColourArray:
         """Remove position i; later positions shift left. No relabels."""
         self._check_pos(i, len(self._labels))
         label = self._labels.pop(i - 1)
-        self._colours.pop(i - 1)
         self.engine.delete(label)
         self.ops += 1
 
@@ -160,12 +159,12 @@ class DynamicColourArray:
         label = self._labels[i - 1]
         self.engine.delete(label)
         self.engine.insert(label, colour)
-        self._colours[i - 1] = colour
         self.ops += 1
 
     def get(self, i: int):
         self._check_pos(i, len(self._labels))
-        return self._colours[i - 1]
+        engine = self.engine
+        return engine.registry.label_of(engine.F.values_from(self._labels[i - 1], 1)[0])
 
     def query(self, i: int, j: int) -> set:
         return set(self.query_counts(i, j))
@@ -183,13 +182,11 @@ class DynamicColourArray:
 
     def audit(self, deep: bool = False) -> None:
         labels = self._labels
-        assert len(labels) == len(self._colours) == len(self.engine)
+        assert len(labels) == len(self.engine)
         for t in range(1, len(labels)):
             assert labels[t - 1] < labels[t], f"label order broken at {t}"
         if labels:
             assert 0 <= labels[0] and labels[-1] < UNIVERSE
             got = sorted(lf.coord for lf in self.engine.leaves())
             assert got == labels, "engine keys drifted from labels"
-            for lf, want in zip(self.engine.leaves(), self._colours):
-                assert self.engine.registry.label_of(lf.colour) == want
         self.engine.audit_tree(deep=deep)

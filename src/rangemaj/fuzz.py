@@ -3,8 +3,10 @@
 FuzzDriver interleaves inserts, deletes and queries from a seeded
 generator, checks every query answer (labels and exact counts) against
 NaiveStore, and optionally re-derives the per-query mass bounds that the
-fast query path relies on. Used by the test suite, the CLI selftest and
-the acceptance gate.
+fast query path relies on. The auditor works out a query's snapped
+range, point count and top height groups from the index itself, as the
+query does, so the query path keeps no record for it. Used by the test
+suite, the CLI selftest and the acceptance gate.
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ class LemmaAuditor:
     """Post-query re-derivation of the three mass bounds behind the
     candidate-filtering scheme.
 
-    After a general query, with I the canonical node set of the snapped
-    range and m its point count:
+    A query is general when its snapped range holds more than the
+    index's ``prune_cutoff`` points. After a general query, with I the
+    canonical node set of the snapped range and m its point count:
 
     * level masses: grouping the internal nodes of I by height, the
       j-th highest group carries at most m points for j = 1 and
@@ -46,12 +49,17 @@ class LemmaAuditor:
         self.index = index
         self.checks = 0
 
-    def check(self, dbg) -> None:
-        if not dbg or dbg.get("mode") != "general":
-            return
+    def check(self, lo, hi) -> bool:
+        """Audit the query [lo, hi] if it is general; return whether it was."""
         idx = self.index
-        a, b = dbg["snapped"]
-        m = dbg["m"]
+        snapped = idx.snap(idx._query_bound(lo, "lo"), idx._query_bound(hi, "hi"))
+        if snapped is None:
+            return False
+        a, b = snapped
+        m = idx.F.count_range(a, b)
+        if m <= idx.prune_cutoff:
+            return False
+        groups, _ = idx._top_groups(a, b)
         p, q = idx._ap, idx._aq
 
         full = idx._decompose_all(a, b)
@@ -72,7 +80,6 @@ class LemmaAuditor:
                     f"level {j} (height {h}) mass {mass} out of bound, m={m}"
                 )
 
-        groups = dbg["groups"]
         top_ids = {id(n) for _, ns in groups for n in ns}
         below = [v for v in full if id(v) not in top_ids]
         below_mass = sum(v.weight for v in below)
@@ -110,6 +117,7 @@ class LemmaAuditor:
                     f"non-candidate mass {non} for colour {cid} out of bound, m={m}"
                 )
         self.checks += 1
+        return True
 
 
 class FuzzDriver:
@@ -146,7 +154,6 @@ class FuzzDriver:
         self.auditor = None
         if lemma_audits:
             self.auditor = LemmaAuditor(self.index)
-            self.index.capture_debug = True
         self.ops = 0
         self.inserts = 0
         self.deletes = 0
@@ -225,12 +232,8 @@ class FuzzDriver:
                 f"query [{lo}, {hi}] returned {got}, expected {want} (m={m})"
             )
         self.queries += 1
-        if self.index.capture_debug:
-            dbg = self.index.last_query_debug
-            if dbg and dbg.get("mode") == "general":
-                self.general_queries += 1
-                if self.auditor is not None:
-                    self.auditor.check(dbg)
+        if self.auditor is not None and self.auditor.check(lo, hi):
+            self.general_queries += 1
         return got
 
     def step(self) -> None:
@@ -261,8 +264,6 @@ class FuzzDriver:
                 continue
             pts.append((c, self._label()))
             self.mirror.insert(c, pts[-1][1])
-        rebuilt = MajorityIndex.build(pts, self.index.cfg.alpha, self.key_kind)
-        rebuilt.capture_debug = self.index.capture_debug
-        self.index = rebuilt
+        self.index = MajorityIndex.build(pts, self.index.cfg.alpha, self.key_kind)
         if self.auditor is not None:
-            self.auditor = LemmaAuditor(rebuilt)
+            self.auditor = LemmaAuditor(self.index)

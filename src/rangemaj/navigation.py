@@ -2,9 +2,13 @@
 and discovery of the top height levels of a range's canonical set.
 
 Every node caches a link to an ancestor roughly sqrt(lg n) levels up.
-Links are validated on read (the target must be alive and its range must
-contain the node's range) and recomputed lazily when stale, so
-restructures never have to chase incoming links.
+Links are validated on read (the target must still be attached to the
+tree, and its range must contain the node's range) and recomputed lazily
+when stale, so restructures never have to chase incoming links. A node
+is attached when it is the index's root or its parent still lists it
+among its children: a restructure detaches the nodes it replaces and
+moves their children's parent links to the new nodes, so a detached
+node's old parent never lists it again.
 
 Queries find their top levels by plain decomposition
 (``MajorityIndex._top_groups``); this module reproduces the paper's
@@ -23,21 +27,35 @@ def ell_for(n: int) -> int:
     return r if r * r == lgn else r + 1
 
 
-def resolve_anc(node, ell: int):
-    """The cached stride ancestor, revalidated; recomputed when stale.
+def _attached(index, v) -> bool:
+    """Whether the node v is in index's tree."""
+    return v is index.root if v.parent is None else v in v.parent.children
 
-    A cached target is trusted iff it is alive and its range contains
-    the node's range: subtree ranges form a laminar family over distinct
-    coordinates, so range containment by a live node proves ancestry.
+
+def _trusted_anc(index, node):
+    """node's cached stride link when it may be trusted, else None.
+
+    A target is trusted iff it is attached, higher than node, and its
+    range contains node's range: subtree ranges form a laminar family
+    over distinct coordinates, so range containment by an attached node
+    proves ancestry.
     """
     a = node.anc
     if (
         a is not None
-        and a.alive
         and a.height > node.height
         and a.min_leaf.coord <= node.min_leaf.coord
         and node.max_leaf.coord <= a.max_leaf.coord
+        and _attached(index, a)
     ):
+        return a
+    return None
+
+
+def resolve_anc(index, node, ell: int):
+    """The cached stride ancestor, revalidated; recomputed when stale."""
+    a = _trusted_anc(index, node)
+    if a is not None:
         return a
     t = node
     for _ in range(ell):
@@ -61,10 +79,10 @@ def lca(index, wa, wb):
     xb = wb.coord
     ell = ell_for(len(index.F))
     v = wa
-    t = resolve_anc(v, ell)
+    t = resolve_anc(index, v, ell)
     while not (t.min_leaf.coord <= xb <= t.max_leaf.coord):
         v = t
-        t = resolve_anc(v, ell)
+        t = resolve_anc(index, v, ell)
     u = v.parent
     while not (u.min_leaf.coord <= xb <= u.max_leaf.coord):
         u = u.parent
@@ -138,14 +156,8 @@ def audit_links(index, nodes, ell: int | None = None) -> None:
     if ell is None:
         ell = ell_for(len(index.F))
     for node in nodes:
-        a = node.anc
-        if (
-            a is not None
-            and a.alive
-            and a.height > node.height
-            and a.min_leaf.coord <= node.min_leaf.coord
-            and node.max_leaf.coord <= a.max_leaf.coord
-        ):
+        a = _trusted_anc(index, node)
+        if a is not None:
             # a validated cache entry must be a genuine ancestor
             t = node
             seen = False
@@ -156,7 +168,7 @@ def audit_links(index, nodes, ell: int | None = None) -> None:
                 t = t.parent
             assert seen, "validated stride link is not an ancestor"
         node.anc = None
-        got = resolve_anc(node, ell)
+        got = resolve_anc(index, node, ell)
         t = node
         for _ in range(ell):
             if t.parent is None:

@@ -72,7 +72,7 @@ class NaiveStore:
 
     def __init__(self):
         self._coords = np.empty(16, dtype=np.float64)
-        self._colours = np.empty(16, dtype=np.int32)
+        self._cids = np.empty(16, dtype=np.int32)
         self._size = 0
         self._pos: dict = {}  # coord -> slot
         self._label_ids: dict = {}
@@ -94,9 +94,9 @@ class NaiveStore:
             raise ValueError(f"duplicate coordinate {coord!r}")
         if self._size == len(self._coords):
             self._coords = np.concatenate([self._coords, np.empty_like(self._coords)])
-            self._colours = np.concatenate([self._colours, np.empty_like(self._colours)])
+            self._cids = np.concatenate([self._cids, np.empty_like(self._cids)])
         self._coords[self._size] = coord
-        self._colours[self._size] = self._label_id(label)
+        self._cids[self._size] = self._label_id(label)
         self._pos[coord] = self._size
         self._size += 1
 
@@ -105,7 +105,7 @@ class NaiveStore:
         last = self._size - 1
         if slot != last:
             self._coords[slot] = self._coords[last]
-            self._colours[slot] = self._colours[last]
+            self._cids[slot] = self._cids[last]
             self._pos[self._coords[slot].item()] = slot
         self._size -= 1
 
@@ -116,7 +116,7 @@ class NaiveStore:
         """(m, per-label counts dict) for the closed range."""
         c = self._coords[: self._size]
         mask = (c >= lo) & (c <= hi)
-        ids = self._colours[: self._size][mask]
+        ids = self._cids[: self._size][mask]
         if ids.size == 0:
             return 0, {}
         bc = np.bincount(ids, minlength=len(self._labels))
@@ -136,7 +136,7 @@ class NaiveStore2D:
     def __init__(self):
         self._xs = np.empty(16, dtype=np.float64)
         self._ys = np.empty(16, dtype=np.float64)
-        self._colours = np.empty(16, dtype=np.int32)
+        self._cids = np.empty(16, dtype=np.int32)
         self._size = 0
         self._pos: dict = {}  # x -> slot
         self._label_ids: dict = {}
@@ -159,10 +159,10 @@ class NaiveStore2D:
         if self._size == len(self._xs):
             self._xs = np.concatenate([self._xs, np.empty_like(self._xs)])
             self._ys = np.concatenate([self._ys, np.empty_like(self._ys)])
-            self._colours = np.concatenate([self._colours, np.empty_like(self._colours)])
+            self._cids = np.concatenate([self._cids, np.empty_like(self._cids)])
         self._xs[self._size] = x
         self._ys[self._size] = y
-        self._colours[self._size] = self._label_id(label)
+        self._cids[self._size] = self._label_id(label)
         self._pos[x] = self._size
         self._size += 1
 
@@ -172,7 +172,7 @@ class NaiveStore2D:
         if slot != last:
             self._xs[slot] = self._xs[last]
             self._ys[slot] = self._ys[last]
-            self._colours[slot] = self._colours[last]
+            self._cids[slot] = self._cids[last]
             self._pos[self._xs[slot].item()] = slot
         self._size -= 1
 
@@ -183,7 +183,7 @@ class NaiveStore2D:
         xs = self._xs[: self._size]
         ys = self._ys[: self._size]
         mask = (xs >= xlo) & (xs <= xhi) & (ys >= ylo) & (ys <= yhi)
-        ids = self._colours[: self._size][mask]
+        ids = self._cids[: self._size][mask]
         if ids.size == 0:
             return 0, {}
         bc = np.bincount(ids, minlength=len(self._labels))

@@ -118,13 +118,6 @@ def gamma_lower_bound(ell: int, m: int, beta: RationalLike) -> Fraction:
     return (b * ell - m) / (1 - b)
 
 
-def verify_threshold(m: int, alpha: RationalLike) -> Fraction:
-    """Scratch-total cut-off a colour must clear to reach verification."""
-    if m < 0:
-        raise ValueError(f"m must be nonnegative, got {m!r}")
-    return as_fraction(alpha) * m / 4
-
-
 @dataclass(frozen=True)
 class AlphaConfig:
     """Frozen bundle of the thresholds derived from one alpha."""

@@ -1,10 +1,16 @@
 """Colour labels mapped to small dense integer ids.
 
-External colour labels (any hashable) are interned to ids that stay in
-[1, 2n] for n stored points: a global remap reassigns ids densely once
-the issued-id high-water mark exceeds twice the point count. That mark,
+External colour labels (any hashable) are interned to small ids,
+retired ids being reused smallest first. The issued-id high-water mark,
 ``capacity``, bounds every id, so the counts in ``tree`` size a dense
-``np.bincount`` by it without reading the ids' maximum.
+``np.bincount`` by it without reading the ids' maximum, and pick
+``np.unique`` instead when it is far above the ids counted.
+
+``maybe_remap`` reassigns ids densely once ``capacity`` exceeds twice
+the point count. The 1-D index calls it after every delete, so its ids
+stay in [1, 2n] for n stored points. The planar index never calls it:
+its ``capacity`` stays at the most colours it ever held at once, even
+after most of them are gone.
 """
 
 from __future__ import annotations
@@ -14,14 +20,13 @@ from collections import Counter
 
 
 class ColourRegistry:
-    __slots__ = ("_label_index", "_labels", "_refcounts", "_free", "_live")
+    __slots__ = ("_label_index", "_labels", "_refcounts", "_free")
 
     def __init__(self):
         self._label_index: dict = {}
         self._labels: list = [None]  # 1-based; None marks a retired slot
         self._refcounts: list[int] = [0]
         self._free: list[int] = []  # retired ids, smallest reused first
-        self._live = 0
 
     @property
     def capacity(self) -> int:
@@ -30,7 +35,7 @@ class ColourRegistry:
 
     @property
     def live_count(self) -> int:
-        return self._live
+        return len(self._label_index)
 
     def intern(self, label, refs: int = 1) -> int:
         """Id for label, allocating if new; counts refs references."""
@@ -47,7 +52,6 @@ class ColourRegistry:
             self._labels.append(label)
             self._refcounts.append(refs)
         self._label_index[label] = cid
-        self._live += 1
         return cid
 
     def intern_all(self, labels) -> list[int]:
@@ -67,7 +71,6 @@ class ColourRegistry:
         del self._label_index[self._labels[cid]]
         self._labels[cid] = None
         heapq.heappush(self._free, cid)
-        self._live -= 1
         return True
 
     def id_of(self, label) -> int | None:
@@ -110,7 +113,6 @@ class ColourRegistry:
         return mapping if mapping else None
 
     def audit(self) -> None:
-        assert self._live == len(self._label_index)
         for label, cid in self._label_index.items():
             assert self._labels[cid] == label
             assert self._refcounts[cid] >= 1

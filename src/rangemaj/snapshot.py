@@ -92,20 +92,20 @@ def _table(values):
 
 def _columns(obj, mode):
     """obj's columns in file order."""
-    if mode == "array":
-        table, index = _table([obj.get(i) for i in range(1, len(obj) + 1)])
-        yield table
-    elif mode == "2d":
+    if mode == "2d":
         pts = list(obj.points())
         table, index = _table([c for _, _, c in pts])
         yield table
         yield [x for x, _, _ in pts]
         yield [y for _, y, _ in pts]
     else:
-        keys = list(obj.F)
-        ids, index = _table(obj.F.values_from(keys[0], len(keys)) if keys else ())
-        yield list(map(obj.registry.label_of, ids))
-        yield keys
+        # an array's colours are its engine's, in label order
+        idx = obj.engine if mode == "array" else obj
+        keys = list(idx.F)
+        ids, index = _table(idx.F.values_from(keys[0], len(keys)) if keys else ())
+        yield list(map(idx.registry.label_of, ids))
+        if mode != "array":
+            yield keys
     yield index
 
 

@@ -215,7 +215,7 @@ def group_by_height(nodes):
 
 
 class _Leaf:
-    __slots__ = ("coord", "colour", "parent", "anc", "min_leaf", "max_leaf", "alive")
+    __slots__ = ("coord", "colour", "parent", "anc", "min_leaf", "max_leaf")
 
     height = 0
     weight = 1
@@ -229,7 +229,6 @@ class _Leaf:
         self.anc = None
         self.min_leaf = self
         self.max_leaf = self
-        self.alive = True
 
 
 class _Node:
@@ -245,7 +244,6 @@ class _Node:
         "staleness",
         "rebuild_at",
         "rebuild_serial",
-        "alive",
     )
 
     def __init__(self, height):
@@ -260,7 +258,6 @@ class _Node:
         self.staleness = 0
         self.rebuild_at = 0
         self.rebuild_serial = 0
-        self.alive = True
 
 
 class MajorityIndex:
@@ -285,8 +282,6 @@ class MajorityIndex:
         self.F.load_sorted((), ())  # F carries the colour column
         self.per_colour: dict = {}
         self.root = None
-        self.capture_debug = False
-        self.last_query_debug = None
         self.stats = {
             "lca_calls": 0,
             "last_findtop_lca_calls": 0,
@@ -509,7 +504,6 @@ class MajorityIndex:
             i = parent.children.index(v)
             parent.children[i : i + 1] = [a, b]
             a.parent = b.parent = parent
-        v.alive = False
         self.stats["splits"] += 1
 
     def _fix_underflow(self, v) -> None:
@@ -534,8 +528,6 @@ class MajorityIndex:
             a.parent = b.parent = parent
             sibs[lo : hi + 1] = [a, b]
             self.stats["shares"] += 1
-        v.alive = False
-        sib.alive = False
 
     # ---- updates ----
 
@@ -614,7 +606,6 @@ class MajorityIndex:
         pc.delete(x)
         if not len(pc):
             del self.per_colour[cid]
-        cur.alive = False
 
         if not path:
             self.root = None
@@ -628,7 +619,6 @@ class MajorityIndex:
                     if len(v.children) == 1:
                         child = v.children[0]
                         child.parent = None
-                        v.alive = False
                         self.root = child
                     else:
                         self._upkeep_delete(v, cid)
@@ -815,13 +805,10 @@ class MajorityIndex:
         hi = self._query_bound(hi, "hi")
         self.stats["queries"] += 1
         m, listed, ids, cut = self._collect(lo, hi)
-        out, tallies = answer(
+        return answer(
             m, listed, ids, cut, self._ap, self._aq, self.registry.capacity,
             self._colour_counts, lo, hi,
-        )
-        if self.capture_debug:
-            self.last_query_debug.update(drained=list(tallies.items()), result=out)
-        return out
+        )[0]
 
     def _colour_counts(self, cids, lo, hi) -> list:
         per = self.per_colour
@@ -837,25 +824,15 @@ class MajorityIndex:
         over its top height groups. The planar index merges these across
         several sub-indexes before it finishes them.
         """
-        dbg = None
-        if self.capture_debug:
-            dbg = self.last_query_debug = {
-                "snapped": None, "m": 0, "mode": "empty", "groups": None, "drained": None
-            }
         snapped = self.snap(lo, hi)
         if snapped is None:
             return 0, [], array("q"), False
         a, b = snapped
         m = self.F.count_range(a, b)
-        groups, cut = None, False
         if m <= self.prune_cutoff:
-            listed, ids = [], self.scan_pruned(a, m)
-        else:
-            groups, cut = self._top_groups(a, b)
-            listed, ids = self._accumulate(groups)
-        if dbg is not None:
-            mode = "general" if groups else "pruned"
-            dbg.update(snapped=(a, b), m=m, mode=mode, groups=groups)
+            return m, [], self.scan_pruned(a, m), False
+        groups, cut = self._top_groups(a, b)
+        listed, ids = self._accumulate(groups)
         return m, listed, ids, cut
 
     # ---- debug audits ----
@@ -882,10 +859,8 @@ class MajorityIndex:
 
         def walk(v):
             if v.height == 0:
-                assert v.alive
                 self.registry.label_of(v.colour)
                 return 1, v, v, (Counter((v.colour,)) if deep else None)
-            assert v.alive
             deg = len(v.children)
             assert MIN_DEGREE <= deg <= MAX_DEGREE, f"degree {deg} at height {v.height}"
             w = 0

@@ -2,11 +2,15 @@
 
 import math
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rangemaj import tree
 from rangemaj.fuzz import FuzzDriver
-from rangemaj.navigation import audit_links, ell_for, findtop, lca, resolve_anc
+from rangemaj.navigation import _attached, audit_links, ell_for, findtop, lca, resolve_anc
 from rangemaj.oracle import naive_lca
 from rangemaj.tree import MajorityIndex, group_by_height
 
@@ -17,6 +21,20 @@ def churned_index(seed=21, n=3000, extra_ops=4000, alpha="1/4"):
     d.seed_points(n)
     d.run(extra_ops)
     return d.index
+
+
+def top_groups_spy(seen):
+    """Patch MajorityIndex._top_groups, which only general queries call,
+    to record each call's snapped range and groups in seen as (a, b,
+    groups)."""
+    orig = MajorityIndex._top_groups
+
+    def top_groups(index, a, b):
+        got = orig(index, a, b)
+        seen.append((a, b, got[0]))
+        return got
+
+    return mock.patch.object(MajorityIndex, "_top_groups", top_groups)
 
 
 def all_leaves(idx):
@@ -40,7 +58,7 @@ class TestStride:
         idx = MajorityIndex.build([(i, "x") for i in range(4096)], "1/2")
         leaf = next(idx.leaves())
         ell = ell_for(len(idx.F))
-        a = resolve_anc(leaf, ell)
+        a = resolve_anc(idx, leaf, ell)
         t = leaf
         for _ in range(ell):
             if t.parent is None:
@@ -49,19 +67,25 @@ class TestStride:
         assert a is t
         assert leaf.anc is a
         # a second resolve trusts the cache
-        assert resolve_anc(leaf, ell) is a
+        assert resolve_anc(idx, leaf, ell) is a
 
     def test_stale_link_to_dead_node_not_trusted(self):
         idx = MajorityIndex.build([(i, "x") for i in range(600)], "1/2")
         leaf = idx._find_leaf(300)
         ell = ell_for(len(idx.F))
-        real = resolve_anc(leaf, ell)
-        bogus = MajorityIndex.build([(i, "y") for i in range(600)], "1/2").root
-        bogus.alive = False
-        leaf.anc = bogus  # a link left behind by a restructure
-        fresh = resolve_anc(leaf, ell)
-        assert fresh is real
-        assert leaf.anc is real
+        real = resolve_anc(idx, leaf, ell)
+        # links left behind by restructures: a node its parent no longer
+        # lists, and a former root; both cover the leaf's range
+        for v in (leaf.parent, idx.root):
+            bogus = tree._Node(v.height)
+            bogus.children = list(v.children)
+            bogus.parent = v.parent
+            bogus.min_leaf, bogus.max_leaf = v.min_leaf, v.max_leaf
+            assert not _attached(idx, bogus)
+            leaf.anc = bogus
+            fresh = resolve_anc(idx, leaf, ell)
+            assert fresh is real
+            assert leaf.anc is real
 
 
 class TestLCA:
@@ -142,21 +166,21 @@ class TestFindtop:
                        n_colours=12)
         d.seed_points(6000)
         t = d.index.cfg.top_count
-        d.index.capture_debug = True
         rng = random.Random(1)
         general = 0
         for _ in range(400):
             lo = rng.randrange(0, 50000)
             hi = rng.randrange(lo, 50000)
-            d.do_query(lo, hi)
-            dbg = d.index.last_query_debug
-            if dbg["mode"] == "general":
+            seen = []
+            with top_groups_spy(seen):
+                d.do_query(lo, hi)
+            if seen:
                 # queries decompose directly; findtop runs on the same range
-                a, b = dbg["snapped"]
+                (a, b, groups), = seen
                 wa, wb = d.index._find_leaf(a), d.index._find_leaf(b)
                 got = findtop(d.index, wa, wb, t)
                 assert [(h, set(map(id, ns))) for h, ns in got] == [
-                    (h, set(map(id, ns))) for h, ns in dbg["groups"]
+                    (h, set(map(id, ns))) for h, ns in groups
                 ]
                 assert d.index.stats["last_findtop_lca_calls"] <= 4 * t
                 general += 1
@@ -178,7 +202,75 @@ class TestLinkAudit:
         d.seed_points(1000)
         # warm the caches, then force heavy restructuring
         for leaf in d.index.leaves():
-            resolve_anc(leaf, ell_for(len(d.index.F)))
+            resolve_anc(d.index, leaf, ell_for(len(d.index.F)))
         d.p_insert, d.p_delete = 0.1, 0.6
         d.run(2500)
         audit_links(d.index, list(d.index.internal_nodes()) + all_leaves(d.index))
+
+
+class TestAttachment:
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        alpha=st.sampled_from(["1/2", "1/10"]),
+        n=st.integers(min_value=1, max_value=1200),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_attached_exactly_the_reachable_nodes(self, alpha, n, seed):
+        # every node ever made, so that the ones restructures discarded
+        # are asked about too
+        created = []
+
+        class Leaf(tree._Leaf):
+            def __init__(self, *args):
+                super().__init__(*args)
+                created.append(self)
+
+        class Node(tree._Node):
+            def __init__(self, *args):
+                super().__init__(*args)
+                created.append(self)
+
+        def detached_internal(idx):
+            """Check _attached on every node made so far; return how many
+            internal ones it refused."""
+            reachable = set()
+            stack = [idx.root] if idx.root is not None else []
+            while stack:
+                v = stack.pop()
+                reachable.add(id(v))
+                stack.extend(v.children or ())
+            assert [_attached(idx, v) for v in created] == [
+                id(v) in reachable for v in created
+            ]
+            return sum(v.height > 0 and id(v) not in reachable for v in created)
+
+        rng = random.Random(seed)
+        span = 10 * n
+        with mock.patch.object(tree, "_Leaf", Leaf), mock.patch.object(tree, "_Node", Node):
+            keys = rng.sample(range(span), n)
+            idx = MajorityIndex.build([(x, "c%d" % (x % 5)) for x in keys], alpha)
+            stored = set(keys)
+            for _ in range(2):
+                # churn, drain to empty, then refill a little
+                for _ in range(2 * n):
+                    x = rng.randrange(span)
+                    if x in stored:
+                        idx.delete(x)
+                        stored.discard(x)
+                    else:
+                        idx.insert(x, "c%d" % rng.randrange(5))
+                        stored.add(x)
+                restructured = detached_internal(idx)
+                assert restructured or n < 200
+                for x in rng.sample(sorted(stored), len(stored)):
+                    idx.delete(x)
+                    if rng.random() < 0.01:
+                        detached_internal(idx)
+                stored.clear()
+                assert idx.root is None
+                detached_internal(idx)
+                for x in rng.sample(range(span), n // 3):
+                    idx.insert(x, "c%d" % rng.randrange(5))
+                    stored.add(x)
+                detached_internal(idx)
+            idx.audit_tree()

@@ -20,7 +20,6 @@ from rangemaj.params import (
     rebuild_threshold,
     stored_list_size,
     top_levels,
-    verify_threshold,
 )
 
 F = Fraction
@@ -154,17 +153,6 @@ class TestGammaLowerBound:
             gamma_lower_bound(20, 10, F(1, 2))
         with pytest.raises(ValueError):
             gamma_lower_bound(5, -1, F(1, 2))
-
-
-class TestVerifyThreshold:
-    def test_frozen(self):
-        assert verify_threshold(0, F(1, 3)) == 0
-        assert verify_threshold(400, F(1, 2)) == 50
-        assert verify_threshold(7, F(1, 10)) == F(7, 40)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            verify_threshold(-1, F(1, 2))
 
 
 class TestAlphaConfig:

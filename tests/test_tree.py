@@ -4,6 +4,7 @@ import gc
 import random
 from array import array
 from collections import Counter
+from contextlib import contextmanager
 from itertools import islice
 from unittest import mock
 
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rangemaj import tree
 from rangemaj.counted_set import TARGET_BLOCK, CountedOrderedSet
 from rangemaj.errors import DuplicateKeyError
 from rangemaj.fuzz import FuzzDriver
@@ -24,6 +26,38 @@ from rangemaj.tree import MajorityIndex, count_ids, group_by_height
 def small_index(alpha="1/2", kind="int"):
     pts = [(1, "r"), (2, "b"), (3, "r")]
     return MajorityIndex.build(pts, alpha, kind)
+
+
+@contextmanager
+def query_spy():
+    """Record every 1-D query from the calls of MajorityIndex._top_groups,
+    which only a general query makes, and of tree.answer, which every
+    query makes once. Yields a list that gains one dict per query: its
+    point count "m", its "mode" ("empty", "pruned" or "general") and the
+    survivors it "drained" as (colour id, tally) pairs; a general query
+    adds its "snapped" range and top height "groups"."""
+    queries, top = [], []
+    orig_top, orig_answer = MajorityIndex._top_groups, tree.answer
+
+    def top_groups(index, a, b):
+        got = orig_top(index, a, b)
+        top.append(((a, b), got[0]))
+        return got
+
+    def answer(m, *args):
+        out, tallies = orig_answer(m, *args)
+        record = {"m": m, "mode": "pruned" if m else "empty",
+                  "drained": list(tallies.items())}
+        if top:
+            (snapped, groups), = top
+            top.clear()
+            record.update(mode="general", snapped=snapped, groups=groups)
+        queries.append(record)
+        return out, tallies
+
+    with mock.patch.object(MajorityIndex, "_top_groups", top_groups), \
+            mock.patch.object(tree, "answer", answer):
+        yield queries
 
 
 class TestBuild:
@@ -415,25 +449,25 @@ class TestRebuildEquivalence:
 class TestQueryPaths:
     def test_single_node_pruned_path(self):
         idx = MajorityIndex.build([(1, "r"), (2, "b"), (3, "r")], "1/2")
-        idx.capture_debug = True
-        assert idx.query(1, 3) == {"r"}
-        assert idx.last_query_debug["mode"] == "pruned"
+        with query_spy() as queries:
+            assert idx.query(1, 3) == {"r"}
+        assert queries[-1]["mode"] == "pruned"
 
     def test_single_leaf_path(self):
         # one point is no more than a light node holds: it is scanned
         idx = MajorityIndex.build([(i, "c%d" % i) for i in range(100)], "1/2")
-        idx.capture_debug = True
-        assert idx.query(17, 17) == {"c17"}
-        assert idx.last_query_debug["mode"] == "pruned"
+        with query_spy() as queries:
+            assert idx.query(17, 17) == {"c17"}
+        assert queries[-1]["mode"] == "pruned"
 
     def test_listed_exact_cover(self):
         idx = MajorityIndex.build([(i, "maj" if i % 2 else "c%d" % i) for i in range(512)], "1/2")
-        idx.capture_debug = True
         visits = idx.stats["pruned_leaf_visits"]
-        got = idx.query_counts(0, 511)
+        with query_spy() as queries:
+            got = idx.query_counts(0, 511)
         # the exact cover is the root: general, its one group the root alone
-        assert idx.last_query_debug["mode"] == "general"
-        assert idx.last_query_debug["groups"] == [(idx.root.height, [idx.root])]
+        assert queries[-1]["mode"] == "general"
+        assert queries[-1]["groups"] == [(idx.root.height, [idx.root])]
         assert idx.stats["pruned_leaf_visits"] == visits  # no slice was read
         assert got == {}  # 256 of 512 is exactly half, strictness excludes it
         idx.delete(0)
@@ -461,16 +495,16 @@ class TestQueryPaths:
             return orig(self, lo, hi)
 
         monkeypatch.setattr(cls, "count_range", spy)
-        idx.capture_debug = True
         nodes = [v for v in idx.internal_nodes() if v.cand is not None]
         assert any(v.staleness for v in nodes)
         visits = idx.stats["pruned_leaf_visits"]
         reported = 0
         for v in nodes:
             a, b = v.min_leaf.coord, v.max_leaf.coord
-            got = idx.query_counts(a, b)
-            assert idx.last_query_debug["mode"] == "general"
-            assert idx.last_query_debug["groups"] == [(v.height, [v])]
+            with query_spy() as queries:
+                got = idx.query_counts(a, b)
+            assert queries[-1]["mode"] == "general"
+            assert queries[-1]["groups"] == [(v.height, [v])]
             counts: dict = {}
             for x, lab in colour.items():
                 if a <= x <= b:
@@ -485,14 +519,14 @@ class TestQueryPaths:
         rng = random.Random(12)
         pts = [(c, "c%d" % rng.randrange(5)) for c in rng.sample(range(5000), 1500)]
         idx = MajorityIndex.build(pts, "1/4")
-        idx.capture_debug = True
         general = 0
         for _ in range(200):
             lo = rng.randrange(0, 5000)
             hi = rng.randrange(lo, 5000)
             want = naive_majority(pts, lo, hi, "1/4")
-            assert idx.query(lo, hi) == want
-            if idx.last_query_debug["mode"] == "general":
+            with query_spy() as queries:
+                assert idx.query(lo, hi) == want
+            if queries[-1]["mode"] == "general":
                 general += 1
         assert general > 50
 
@@ -595,7 +629,6 @@ class TestScanCutoff:
         store = NaiveStore()
         for x, lab in pts:
             store.insert(x, lab)
-        idx.capture_debug = True
         modes = {cut - 1: {"pruned"}, cut: {"pruned"}, cut + 1: {"general"}}
         reported = 0
         for m, allowed in modes.items():
@@ -603,10 +636,11 @@ class TestScanCutoff:
                 lo, hi = xs[i], xs[i + m - 1]
                 want, got_m = oracle_answer(store, lo, hi, idx)
                 assert got_m == m
-                got = idx.query_counts(lo, hi)
+                with query_spy() as queries:
+                    got = idx.query_counts(lo, hi)
                 assert got == want
-                assert idx.last_query_debug["mode"] in allowed
-                assert idx.last_query_debug["m"] == m
+                assert queries[-1]["mode"] in allowed
+                assert queries[-1]["m"] == m
                 reported += len(got)
         assert reported
         idx.audit_tree(deep=True)
@@ -643,15 +677,15 @@ def general_queries(idx, store, seed, count):
     counted lists the per-colour sets the query counted, in call order."""
     rng = random.Random(seed)
     lo_key, hi_key = idx.F.successor(-1), idx.F.predecessor(1 << 62)
-    idx.capture_debug = True
     for _ in range(count):
         lo = rng.randrange(lo_key, hi_key)
         hi = lo + int(10 ** rng.uniform(2, 6))
         want, _ = oracle_answer(store, lo, hi, idx)
         with mock.patch.object(CountedOrderedSet, "count_range", autospec=True,
-                               side_effect=CountedOrderedSet.count_range) as spy:
+                               side_effect=CountedOrderedSet.count_range) as spy, \
+                query_spy() as queries:
             assert idx.query_counts(lo, hi) == want
-        dbg = idx.last_query_debug
+        dbg = queries[-1]
         if dbg["mode"] != "general":
             continue
         a, b = dbg["snapped"]
@@ -815,7 +849,6 @@ class TestOracleEquivalence:
         store = NaiveStore()
         for c, lab in pts:
             store.insert(c, lab)
-        idx.capture_debug = True
         windows = [(lo, lo + int(10 ** rng.uniform(1, 5)))
                    for lo in (rng.randrange(100_000) for _ in range(300))]
         # light nodes' exact spans take the pruned path
@@ -826,12 +859,13 @@ class TestOracleEquivalence:
         # the 20 light spans and the non-empty windows of at most
         # prune_cutoff points
         small = 0
-        with mock.patch.object(np, "unique", wraps=np.unique) as unique:
+        with mock.patch.object(np, "unique", wraps=np.unique) as unique, \
+                query_spy() as queries:
             for lo, hi in windows:
                 m, counts = store.counts(lo, hi)
                 want = {lab: f for lab, f in counts.items() if 4 * f > m}
                 assert idx.query_counts(lo, hi) == want
-                modes[idx.last_query_debug["mode"]] += 1
+                modes[queries[-1]["mode"]] += 1
                 small += 0 < m <= idx.prune_cutoff
         assert modes["general"] > 100 and modes["pruned"] == small
         assert unique.called
@@ -921,12 +955,11 @@ def missed_without_staleness(groups, m, p, q) -> set:
     return {c for c, n in full.items() if 4 * q * n > pm} - seen
 
 
-def assert_survivors_complete(idx) -> None:
-    """The last general query's drained pairs hold every colour whose full
+def assert_survivors_complete(idx, dbg) -> None:
+    """The general query dbg's drained pairs hold every colour whose full
     top-group tally exceeds alpha*m/4, each with exactly that tally. A
     whole window (no listed node, no group cut) is not filtered: its one
     count keeps the colours over alpha*m."""
-    dbg = idx.last_query_debug
     p, q = idx._ap, idx._aq
     a, b = dbg["snapped"]
     full = top_group_tally(dbg["groups"])
@@ -955,18 +988,18 @@ class TestPigeonhole:
         d = FuzzDriver(alpha, seed=seed, coord_lo=0, coord_hi=200_000, n_colours=40,
                        zipf_a=zipf_a)
         d.seed_points(20_000)
-        d.index.capture_debug = True
         for _ in range(800):
             d.do_insert() if d.rng.random() < 0.5 else d.do_delete()
         general = stale = 0
         for _ in range(40):
-            d.do_query()
-            dbg = d.index.last_query_debug
+            with query_spy() as queries:
+                d.do_query()
+            dbg = queries[-1]
             if dbg["mode"] != "general":
                 continue
             general += 1
             stale += any(v.staleness for _, ns in dbg["groups"] for v in ns if v.cand)
-            assert_survivors_complete(d.index)
+            assert_survivors_complete(d.index, dbg)
         assert general and stale
 
     def test_early_stop_allows_for_staleness(self):
@@ -978,17 +1011,17 @@ class TestPigeonhole:
             rng = random.Random(seed)
             pts = [(x, "c%d" % rng.randrange(16)) for x in rng.sample(range(30000), 3000)]
             idx = MajorityIndex.build(pts, "1/4")
-            idx.capture_debug = True
             for _ in range(1000):
                 x = rng.choice(pts)[0]
                 idx.delete(x)
                 idx.insert(x, "c%d" % rng.randrange(16))
             for _ in range(2000):
                 a = rng.randrange(30000)
-                idx.query_counts(a, rng.randrange(a, 30000))
-                dbg = idx.last_query_debug
+                with query_spy() as queries:
+                    idx.query_counts(a, rng.randrange(a, 30000))
+                dbg = queries[-1]
                 if dbg["mode"] == "general":
-                    assert_survivors_complete(idx)
+                    assert_survivors_complete(idx, dbg)
                     live += bool(missed_without_staleness(dbg["groups"], dbg["m"], 1, 4))
         assert live
 
