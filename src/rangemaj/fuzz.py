@@ -2,11 +2,11 @@
 
 FuzzDriver interleaves inserts, deletes and queries from a seeded
 generator, checks every query answer (labels and exact counts) against
-NaiveStore, and optionally re-derives the per-query mass bounds that the
-fast query path relies on. The auditor works out a query's snapped
-range, point count and top height groups from the index itself, as the
-query does, so the query path keeps no record for it. Used by the test
-suite, the CLI selftest and the acceptance gate.
+NaiveStore, and optionally re-derives the per-query mass bounds of the
+paper's analysis. The auditor works out a query's snapped range and
+point count as the query does, and the paper's top height groups from
+the index itself, so the query path keeps no record for it. Used by the
+test suite, the CLI selftest and the acceptance gate.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ class LemmaAuditor:
     * level masses: grouping the internal nodes of I by height, the
       j-th highest group carries at most m points for j = 1 and
       strictly fewer than min(m, 31 * m / 8**(j-1)) for j >= 2;
-    * coverage: the nodes of I outside the accumulated top height
+    * coverage: the nodes of I outside the top ``cfg.top_count`` height
       groups carry strictly fewer than alpha * m / 2 points;
     * non-candidate mass: for every live colour, the points of that
       colour lying in listed nodes of I whose candidate list omits it

@@ -10,9 +10,11 @@ among its children: a restructure detaches the nodes it replaces and
 moves their children's parent links to the new nodes, so a detached
 node's old parent never lists it again.
 
-Queries find their top levels by plain decomposition
-(``MajorityIndex._top_groups``); this module reproduces the paper's
-search, which the acceptance gate checks against that decomposition.
+Queries read no height levels: one walk collects a window's listed
+nodes (``MajorityIndex._accumulate``). The paper's top levels are kept
+as a plain decomposition (``MajorityIndex._top_groups``); this module
+reproduces the paper's search for them, which the acceptance gate
+checks against that decomposition.
 """
 
 from __future__ import annotations

@@ -27,15 +27,14 @@ A rectangle query splits [x_lo, x_hi] into O(lg n) canonical x-pieces.
 The slices of all light pieces and the leaf pieces join, by memory
 copies, with the ids each heavy piece's sub-index collects
 (``MajorityIndex._collect``): all of its window's ids when the window
-holds at most ``prune_cutoff`` points, else those of its light nodes and
-leaves. The joined ``array('q')``, the heavy pieces' listed nodes and
-whether any of their height groups was cut go to the 1-D queries'
-finish, ``tree.answer``, once. With no listed node and no cut, one count
-of the joined ids answers. Otherwise the tally is filtered globally at a
-quarter of the reporting threshold, and a survivor is verified only when
-a group was cut or a listed node does not track it: by its count in the
-light and leaf pieces' ids plus its per-colour counts in the heavy
-pieces.
+holds at most ``prune_cutoff`` points, else those of the window's
+points outside its maximal listed nodes. The joined ``array('q')`` and
+the heavy pieces' listed nodes go to the 1-D queries' finish,
+``tree.answer``, once. With no listed node, one count of the joined ids
+answers. Otherwise the tally is filtered globally at a quarter of the
+reporting threshold, and a survivor is verified only when a listed node
+does not track it: by its count in the light and leaf pieces' ids plus
+its per-colour counts in the heavy pieces.
 
 Every layer below the index runs on colour ids. The index alone holds
 registry references, one per live point through its leaf: a label is
@@ -433,16 +432,14 @@ class MajorityIndex2D:
                 heavy.append(v)
         m = light = len(ids)
         listed = []
-        cut = False
         lo, hi = _ylo_key(ylo), _yhi_key(yhi)
         for v in heavy:  # their collected ids join after the light ones
-            hm, hlisted, hids, hcut = v.sub._collect(lo, hi)
+            hm, hlisted, hids = v.sub._collect(lo, hi)
             m += hm
             listed += hlisted
             ids += hids
-            cut = cut or hcut
         out, _ = answer(
-            m, listed, ids, cut, self._ap, self._aq, self.registry.capacity,
+            m, listed, ids, self._ap, self._aq, self.registry.capacity,
             self._rect_exact, ids, light, heavy, ylo, yhi,
         )
         label = self.registry.label_of

@@ -18,9 +18,9 @@ entries of that column from the node's first coordinate on, read as one
 node's weight, that touches no leaf object: ``bincount`` while the
 registry's capacity, which bounds every id, is below twice the slice
 length plus 4,096, ``unique`` past that, then the top ids by count
-descending and id ascending. A query joins its light nodes' slices
-and its leaves' colours into one ``array('q')`` and counts it once with
-``count_ids``: a ``Counter`` below ``SMALL_COUNT`` ids, else the same
+descending and id ascending. A query joins the slices of F's column
+that no listed node covers into one ``array('q')`` and counts it once
+with ``count_ids``: a ``Counter`` below ``SMALL_COUNT`` ids, else the same
 numpy rule; exact counts are then read for candidates only.
 
 An id-level core never touches the registry: ``_load_sorted`` (keys
@@ -38,22 +38,25 @@ paths:
 
 - ``pruned``: m is at most ``prune_cutoff``, the most a light node
   holds, so the ids are the window's slice of F's column;
-- ``general``: the window splits into canonical nodes, starting from
-  the deepest node that covers it, so an exact cover is one listed
-  node. The top few height levels give the listed nodes, whose lists
-  the tally reads, and the ids of the leaves and light nodes.
+- ``general``: one walk from the root (``_accumulate``) splits the
+  window into its maximal listed nodes, whose lists the tally reads,
+  and the gaps between them, each one slice of F's column. It descends
+  only listed nodes that straddle an edge, so an exact cover of a
+  listed node is that node alone, and every point of the window lies in
+  a listed node or in the ids.
 
 One finish, ``answer``, serves every 1-D and planar query. When no node
-is listed and no height group was cut, the ids are the whole window and
-one count of them answers. Otherwise a quarter of the reporting
-threshold filters the tallies, and a survivor is verified by an exact
-count only when its tally may be short: when a lower height group was
-cut, or a listed node does not track it. Otherwise the tally is its
-exact count.
+is listed, the ids are the whole window and one count of them answers.
+Otherwise a quarter of the reporting threshold filters the tallies, and
+a survivor is verified by an exact count only when some listed node
+does not track it; otherwise its tally is its exact count.
 
-Every key kind takes the same paths; the paper's stride-link search for
-the top levels lives in ``navigation`` as a reproduction and is not on
-the query path.
+The paper reads only the top O(lg(1/alpha)) height groups of the
+canonical decomposition and verifies candidates by exact counts.
+``_decompose_all``, ``group_by_height`` and ``_top_groups`` keep that
+decomposition, and ``navigation`` the stride-link search for its top
+levels, as a reproduction that criteria 2 and 6 check; neither is on
+the query path. Every key kind takes the same paths.
 """
 
 from __future__ import annotations
@@ -127,21 +130,29 @@ def count_ids(ids, capacity, part=0):
     return dict(zip(vals[keep].tolist(), counts[keep].tolist())), count
 
 
-def answer(m, listed, ids, cut, p, q, capacity, exact, *at):
+def answer(m, listed, ids, p, q, capacity, exact, *at):
     """The strict alpha-majorities of a range of m points, alpha = p/q,
     as a dict from colour id to exact count, and the tallies it kept.
 
     The range's points are those of the listed nodes, whose lists hold
     exact counts of the colours they track, and those whose colour ids
-    are in the array('q') ids, each at most capacity; cut says that some
-    height group of the range was left out. exact(cs, *at) lists the
-    counts in the range of the colours cs, the survivors whose tally may
-    be short.
+    are in the array('q') ids, each at most capacity. exact(cs, *at)
+    lists the counts in the range of the colours cs, the survivors whose
+    tally may be short.
     """
     pm = p * m
-    if not (listed or cut):  # the ids are the whole range's
+    if not listed:  # the ids are the whole range's
         out = count_ids(ids, capacity, pm // q)[0]
         return out, out
+    # Why a quarter of the threshold keeps every majority: a colour that
+    # a listed node v does not track held at most a beta share of v at
+    # its last rebuild (the list keeps at least 1/beta - 1 top colours),
+    # and fewer than ceil(beta*w/2) updates have hit v since, so it holds
+    # at most about 1.5*beta*w(v) of v's points. The listed nodes are
+    # disjoint, so a colour's untracked mass is at most about 1.5*beta*m,
+    # and beta <= alpha/10.24 makes that at most 0.15*alpha*m. A colour
+    # over alpha*m thus tallies more than alpha*m/4.
+    #
     # Pigeonhole: split the tally into K parts, one per listed node plus
     # ids. A colour whose tally exceeds T = alpha*m/4 holds more than T/K
     # in some part. A list is in count-descending order at its rebuild,
@@ -169,10 +180,10 @@ def answer(m, listed, ids, cut, p, q, capacity, exact, *at):
             tallies[c] = tally
     # tallies never exceed the true counts, which sum to m
     assert len(tallies) * p <= 4 * q, "survivor bound exceeded"
-    # With no group cut, a tally is the exact count when every listed
-    # node tracks its colour: tracked counts are exact.
+    # a tally is the exact count when every listed node tracks its
+    # colour: tracked counts are exact
     counts = dict(tallies)
-    short = [c for c in tallies if cut or any(c not in u.cand for u in listed)]
+    short = [c for c in tallies if any(c not in u.cand for u in listed)]
     if short:
         counts.update(zip(short, exact(short, *at)))
     return {c: f for c, f in counts.items() if q * f > pm}, tallies
@@ -207,7 +218,8 @@ def _as_float(x, what) -> float:
 
 
 def group_by_height(nodes):
-    """Canonical nodes grouped by height, highest class first."""
+    """Canonical nodes grouped by height, highest class first: the
+    paper's height groups, kept for the lemma auditor and navigation."""
     by_h: dict = {}
     for n in nodes:
         by_h.setdefault(n.height, []).append(n)
@@ -733,7 +745,10 @@ class MajorityIndex:
 
     def _decompose_all(self, a, b):
         """The maximal nodes inside [a, b], which partition its points:
-        the deepest node covering [a, b] when that is exactly [a, b]."""
+        the deepest node covering [a, b] when that is exactly [a, b]. The
+        paper's canonical decomposition, down to the leaves. No query
+        calls it; ``_top_groups``, ``decompose`` and the lemma auditor
+        do."""
         v = self._cover_node(a, b)
         if a <= v.min_leaf.coord and v.max_leaf.coord <= b:
             return [v]
@@ -762,24 +777,47 @@ class MajorityIndex:
 
     def _top_groups(self, a, b):
         """The top ``cfg.top_count`` height groups of the canonical set of
-        [a, b], and whether any group was cut below them."""
+        [a, b], and whether any group was cut below them: the paper's
+        choice of nodes to read. No query calls it; criterion 2's lemma
+        auditor and navigation's ``findtop`` check against it."""
         groups = group_by_height(self._decompose_all(a, b))
         top = self.cfg.top_count
         return groups[:top], len(groups) > top
 
-    def _accumulate(self, groups):
-        """The listed nodes of groups, whose lists the caller reads, and
-        the colour ids of their leaves and light nodes as one array('q')."""
+    def _accumulate(self, a, b):
+        """The maximal listed nodes inside the snapped range [a, b], left
+        to right, and the colour ids of its other points, in order, as one
+        array('q').
+
+        One walk from the root: a listed node that straddles an edge is
+        descended, an unlisted one (light node or leaf) never is. The
+        window's points between two listed nodes are adjacent in F, so
+        each such gap is one slice; only an unlisted node clipped by an
+        edge, at most one per edge, is sized by a count of F.
+        """
         listed = []
-        ids = array("q")  # light-node slices join by memory copies
-        for _, nodes in groups:
-            for u in nodes:
-                if u.height == 0:
-                    ids.append(u.colour)
-                elif u.cand is not None:
-                    listed.append(u)
-                else:
-                    ids += self.scan_pruned(u.min_leaf.coord, u.weight)
+        ids = array("q")  # gap slices join by memory copies
+        start = w = 0  # the open gap: its first key and its point count
+        stack = [self.root]
+        while stack:
+            v = stack.pop()
+            lo, hi = v.min_leaf.coord, v.max_leaf.coord
+            if hi < a or lo > b:
+                continue
+            inside = a <= lo and hi <= b
+            if v.cand is None:
+                if not w:
+                    start = max(a, lo)
+                w += v.weight if inside else self.F.count_range(max(a, lo), min(b, hi))
+            elif inside:
+                if w:
+                    ids += self.scan_pruned(start, w)
+                    w = 0
+                listed.append(v)
+            else:
+                stack.extend(reversed(v.children))
+        if w:
+            ids += self.scan_pruned(start, w)
         return listed, ids
 
     def scan_pruned(self, a, m) -> array:
@@ -804,9 +842,9 @@ class MajorityIndex:
         lo = self._query_bound(lo, "lo")
         hi = self._query_bound(hi, "hi")
         self.stats["queries"] += 1
-        m, listed, ids, cut = self._collect(lo, hi)
+        m, listed, ids = self._collect(lo, hi)
         return answer(
-            m, listed, ids, cut, self._ap, self._aq, self.registry.capacity,
+            m, listed, ids, self._ap, self._aq, self.registry.capacity,
             self._colour_counts, lo, hi,
         )[0]
 
@@ -815,25 +853,24 @@ class MajorityIndex:
         return [per[c].count_range(lo, hi) if c in per else 0 for c in cids]
 
     def _collect(self, lo, hi):
-        """(m, listed, ids, cut) for [lo, hi]: the range's point count,
-        its listed nodes, the joined colour ids of the rest, and whether
-        a height group was left out; ``answer`` finishes them.
+        """(m, listed, ids) for [lo, hi]: the range's point count, its
+        listed nodes and the joined colour ids of its other points;
+        ``answer`` finishes them.
 
         A range of at most ``prune_cutoff`` points is one slice of ids.
-        Any other range collects ``_accumulate``'s listed nodes and ids
-        over its top height groups. The planar index merges these across
-        several sub-indexes before it finishes them.
+        Any other range is split by ``_accumulate``'s walk. The planar
+        index merges these across several sub-indexes before it finishes
+        them.
         """
         snapped = self.snap(lo, hi)
         if snapped is None:
-            return 0, [], array("q"), False
+            return 0, [], array("q")
         a, b = snapped
         m = self.F.count_range(a, b)
         if m <= self.prune_cutoff:
-            return m, [], self.scan_pruned(a, m), False
-        groups, cut = self._top_groups(a, b)
-        listed, ids = self._accumulate(groups)
-        return m, listed, ids, cut
+            return m, [], self.scan_pruned(a, m)
+        listed, ids = self._accumulate(a, b)
+        return m, listed, ids
 
     # ---- debug audits ----
 

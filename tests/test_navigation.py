@@ -23,20 +23,6 @@ def churned_index(seed=21, n=3000, extra_ops=4000, alpha="1/4"):
     return d.index
 
 
-def top_groups_spy(seen):
-    """Patch MajorityIndex._top_groups, which only general queries call,
-    to record each call's snapped range and groups in seen as (a, b,
-    groups)."""
-    orig = MajorityIndex._top_groups
-
-    def top_groups(index, a, b):
-        got = orig(index, a, b)
-        seen.append((a, b, got[0]))
-        return got
-
-    return mock.patch.object(MajorityIndex, "_top_groups", top_groups)
-
-
 def all_leaves(idx):
     return list(idx.leaves())
 
@@ -167,22 +153,23 @@ class TestFindtop:
         d.seed_points(6000)
         t = d.index.cfg.top_count
         rng = random.Random(1)
+        idx = d.index
         general = 0
         for _ in range(400):
             lo = rng.randrange(0, 50000)
             hi = rng.randrange(lo, 50000)
-            seen = []
-            with top_groups_spy(seen):
-                d.do_query(lo, hi)
-            if seen:
-                # queries decompose directly; findtop runs on the same range
-                (a, b, groups), = seen
-                wa, wb = d.index._find_leaf(a), d.index._find_leaf(b)
-                got = findtop(d.index, wa, wb, t)
+            d.do_query(lo, hi)
+            snapped = idx.snap(lo, hi)
+            if snapped is not None and idx.F.count_range(*snapped) > idx.prune_cutoff:
+                # a general query's range: findtop against the decomposition
+                a, b = snapped
+                groups, _ = idx._top_groups(a, b)
+                wa, wb = idx._find_leaf(a), idx._find_leaf(b)
+                got = findtop(idx, wa, wb, t)
                 assert [(h, set(map(id, ns))) for h, ns in got] == [
                     (h, set(map(id, ns))) for h, ns in groups
                 ]
-                assert d.index.stats["last_findtop_lca_calls"] <= 4 * t
+                assert idx.stats["last_findtop_lca_calls"] <= 4 * t
                 general += 1
         assert general > 100
 

@@ -431,13 +431,13 @@ def drifting_plane(seed, n, churn):
 
 def finished(idx, mirror, rect):
     """Answer rect, check it against the mirror, and return the listed
-    nodes, cut flag and survivors that the query's finish saw, and the
-    colour ids that ``_rect_cid_count`` verified."""
+    nodes and survivors that the query's finish saw, and the colour ids
+    that ``_rect_cid_count`` verified."""
     seen = []
 
     def spy_answer(*args):
         out = answer(*args)
-        seen.append((args[1], args[3], out[1]))
+        seen.append((args[1], out[1]))
         return out
 
     with mock.patch.object(planar, "answer", side_effect=spy_answer), \
@@ -445,9 +445,10 @@ def finished(idx, mirror, rect):
                               side_effect=MajorityIndex2D._rect_cid_count) as spy:
         got = idx.query_counts(*rect)
     m, counts = mirror.counts(*rect)
-    assert got == {lab: f for lab, f in counts.items() if 10 * f > m}
-    (listed, cut, tallies), = seen
-    return listed, cut, tallies, [c.args[1] for c in spy.call_args_list]
+    p, q = idx._ap, idx._aq
+    assert got == {lab: f for lab, f in counts.items() if q * f > p * m}
+    (listed, tallies), = seen
+    return listed, tallies, [c.args[1] for c in spy.call_args_list]
 
 
 def tall_rects(rng, count):
@@ -464,8 +465,8 @@ class TestExactCounts:
     """A heavy piece's window of at most its sub-index's ``prune_cutoff``
     points is collected whole, so a rectangle whose heavy windows are all
     that small answers from one count, without per-colour counts. Past
-    that, a survivor is verified only when a height group was cut or a
-    listed node does not track it."""
+    that, a survivor is verified only when a listed node does not track
+    it."""
 
     def test_small_heavy_windows_skip_verification(self):
         rng = random.Random(18)
@@ -480,7 +481,7 @@ class TestExactCounts:
         cut = MajorityIndex(alpha).prune_cutoff
         rects = []
         # the whole x-span is one heavy piece; windows well past the cutoff
-        # hold listed nodes, so their survivors are verified
+        # hold listed nodes, whose lists of 41 entries track all 13 colours
         for m in (cut - 1, cut, cut + 1, 10 * cut, 30 * cut):
             for i in [0, n - m] + [rng.randrange(n - m) for _ in range(5)]:
                 rects.append((0, 100_000, ys[i], ys[i + m - 1]))
@@ -489,20 +490,19 @@ class TestExactCounts:
             xlo, ylo = rng.randrange(100_000 - w), rng.uniform(0, max(0, 1000 - h))
             rects.append((xlo, xlo + w, ylo, ylo + h))
         small = big = 0
-        orig = MajorityIndex2D._rect_cid_count
-        for xlo, xhi, ylo, yhi in rects:
+        for rect in rects:
+            xlo, xhi, ylo, yhi = rect
             heavy = [v.sub for v in idx._pieces(xlo, xhi) if getattr(v, "sub", None)]
             sizes = [sub.F.count_range((ylo,), (yhi, math.inf)) for sub in heavy]
-            with mock.patch.object(MajorityIndex2D, "_rect_cid_count", autospec=True,
-                                   side_effect=orig) as spy:
-                got = idx.query_counts(xlo, xhi, ylo, yhi)
-            m, counts = mirror.counts(xlo, xhi, ylo, yhi)
-            assert got == {lab: f for lab, f in counts.items() if 2 * f > m}
+            listed, tallies, verified = finished(idx, mirror, rect)
             if heavy and all(k <= cut for k in sizes):
-                assert not spy.called
-                small += bool(got)
+                # one count: the tallies are the answer
+                assert not verified
+                small += bool(tallies)
             elif any(k > cut for k in sizes):
-                big += spy.called
+                # verified only when a listed node omits a survivor
+                assert bool(verified) == any(c not in u.cand for u in listed for c in tallies)
+                big += bool(listed and tallies)
         assert small > 20 and big > 10
         idx.audit2d()
 
@@ -510,8 +510,8 @@ class TestExactCounts:
         idx, mirror, rng = drifting_plane(seed=7, n=20_000, churn=0)
         seen = 0
         for rect in tall_rects(rng, 500):
-            listed, cut, tallies, verified = finished(idx, mirror, rect)
-            if cut or not listed or any(c not in u.cand for u in listed for c in tallies):
+            listed, tallies, verified = finished(idx, mirror, rect)
+            if not listed or any(c not in u.cand for u in listed for c in tallies):
                 continue
             assert verified == []
             seen += bool(tallies)
@@ -519,18 +519,27 @@ class TestExactCounts:
 
     def test_survivor_missing_from_a_stale_list_is_counted(self):
         idx, mirror, rng = drifting_plane(seed=9, n=20_000, churn=2000)
-        missing = cuts = 0
+        missing = 0
         for rect in tall_rects(rng, 300):
-            listed, cut, tallies, verified = finished(idx, mirror, rect)
-            # cut: every survivor, else those some listed node omits, once each
-            short = [c for c in tallies if cut or any(c not in u.cand for u in listed)]
+            listed, tallies, verified = finished(idx, mirror, rect)
+            # the survivors some listed node omits, once each
+            short = [c for c in tallies if any(c not in u.cand for u in listed)]
             assert sorted(verified) == sorted(short)
-            cuts += cut
-            missing += not cut and any(
+            missing += any(
                 c not in u.cand and u.staleness for c in tallies for u in listed
             )
-        assert missing > 10 and cuts > 5
+        assert missing > 10
         idx.audit2d()
+
+    def test_no_query_reads_the_height_groups(self):
+        idx, mirror, rng = drifting_plane(seed=5, n=20_000, churn=500)
+        with mock.patch.object(MajorityIndex, "_top_groups",
+                               side_effect=AssertionError("query read the height groups")), \
+                mock.patch.object(MajorityIndex, "_accumulate", autospec=True,
+                                  side_effect=MajorityIndex._accumulate) as walk:
+            for rect in tall_rects(rng, 100):
+                finished(idx, mirror, rect)
+        assert walk.call_count > 50  # general heavy-piece windows
 
 
 class TestMemory:

@@ -30,32 +30,33 @@ def small_index(alpha="1/2", kind="int"):
 
 @contextmanager
 def query_spy():
-    """Record every 1-D query from the calls of MajorityIndex._top_groups,
+    """Record every 1-D query from the calls of MajorityIndex._accumulate,
     which only a general query makes, and of tree.answer, which every
     query makes once. Yields a list that gains one dict per query: its
     point count "m", its "mode" ("empty", "pruned" or "general") and the
     survivors it "drained" as (colour id, tally) pairs; a general query
-    adds its "snapped" range and top height "groups"."""
-    queries, top = [], []
-    orig_top, orig_answer = MajorityIndex._top_groups, tree.answer
+    adds its "snapped" range, its "listed" nodes and the other points'
+    colour "ids"."""
+    queries, walks = [], []
+    orig_walk, orig_answer = MajorityIndex._accumulate, tree.answer
 
-    def top_groups(index, a, b):
-        got = orig_top(index, a, b)
-        top.append(((a, b), got[0]))
-        return got
+    def accumulate(index, a, b):
+        listed, ids = orig_walk(index, a, b)
+        walks.append(((a, b), listed, ids))
+        return listed, ids
 
     def answer(m, *args):
         out, tallies = orig_answer(m, *args)
         record = {"m": m, "mode": "pruned" if m else "empty",
                   "drained": list(tallies.items())}
-        if top:
-            (snapped, groups), = top
-            top.clear()
-            record.update(mode="general", snapped=snapped, groups=groups)
+        if walks:
+            (snapped, listed, ids), = walks
+            walks.clear()
+            record.update(mode="general", snapped=snapped, listed=listed, ids=ids)
         queries.append(record)
         return out, tallies
 
-    with mock.patch.object(MajorityIndex, "_top_groups", top_groups), \
+    with mock.patch.object(MajorityIndex, "_accumulate", accumulate), \
             mock.patch.object(tree, "answer", answer):
         yield queries
 
@@ -465,9 +466,9 @@ class TestQueryPaths:
         visits = idx.stats["pruned_leaf_visits"]
         with query_spy() as queries:
             got = idx.query_counts(0, 511)
-        # the exact cover is the root: general, its one group the root alone
+        # the exact cover is the root: general, the root its one listed node
         assert queries[-1]["mode"] == "general"
-        assert queries[-1]["groups"] == [(idx.root.height, [idx.root])]
+        assert queries[-1]["listed"] == [idx.root] and not queries[-1]["ids"]
         assert idx.stats["pruned_leaf_visits"] == visits  # no slice was read
         assert got == {}  # 256 of 512 is exactly half, strictness excludes it
         idx.delete(0)
@@ -504,7 +505,7 @@ class TestQueryPaths:
             with query_spy() as queries:
                 got = idx.query_counts(a, b)
             assert queries[-1]["mode"] == "general"
-            assert queries[-1]["groups"] == [(v.height, [v])]
+            assert queries[-1]["listed"] == [v] and not queries[-1]["ids"]
             counts: dict = {}
             for x, lab in colour.items():
                 if a <= x <= b:
@@ -673,8 +674,8 @@ def drifting_index(seed, n, alpha, churn):
 
 def general_queries(idx, store, seed, count):
     """Run count log-uniform windows against the oracle, and yield for
-    each general one (cut, listed nodes, survivors, counted), where
-    counted lists the per-colour sets the query counted, in call order."""
+    each general one (listed nodes, survivors, counted), where counted
+    lists the per-colour sets the query counted, in call order."""
     rng = random.Random(seed)
     lo_key, hi_key = idx.F.successor(-1), idx.F.predecessor(1 << 62)
     for _ in range(count):
@@ -688,22 +689,20 @@ def general_queries(idx, store, seed, count):
         dbg = queries[-1]
         if dbg["mode"] != "general":
             continue
-        a, b = dbg["snapped"]
-        cut = len(group_by_height(idx._decompose_all(a, b))) > idx.cfg.top_count
-        listed = [v for _, ns in dbg["groups"] for v in ns if v.cand is not None]
         counted = [c.args[0] for c in spy.call_args_list if c.args[0] is not idx.F]
-        yield cut, listed, dict(dbg["drained"]), counted
+        yield dbg["listed"], dict(dbg["drained"]), counted
 
 
 class TestExactTallies:
-    """A survivor's tally is its exact count when no height group was cut
-    and every listed node tracks it; only other survivors are verified."""
+    """Every point of a general window lies in a listed node or in the
+    ids, so a survivor's tally is its exact count when every listed node
+    tracks it; only other survivors are verified."""
 
     def test_uncut_tracked_survivors_count_nothing(self):
         idx, store = drifting_index(seed=1, n=30_000, alpha="1/10", churn=0)
         seen = with_lists = 0
-        for cut, listed, drained, counted in general_queries(idx, store, 2, 1500):
-            if cut or any(c not in u.cand for u in listed for c in drained):
+        for listed, drained, counted in general_queries(idx, store, 2, 1500):
+            if any(c not in u.cand for u in listed for c in drained):
                 continue
             assert counted == []
             seen += 1
@@ -714,29 +713,14 @@ class TestExactTallies:
     def test_survivor_missing_from_a_stale_list_is_counted(self):
         idx, store = drifting_index(seed=3, n=30_000, alpha="1/10", churn=4000)
         missing = 0
-        for cut, listed, drained, counted in general_queries(idx, store, 4, 1500):
-            if cut:
-                continue
-            # uncut: exactly the survivors some listed node omits, once each
+        for listed, drained, counted in general_queries(idx, store, 4, 1500):
+            # exactly the survivors some listed node omits, once each
             short = [c for c in drained if any(c not in u.cand for u in listed)]
             assert sorted(map(id, counted)) == sorted(id(idx.per_colour[c]) for c in short)
             missing += any(
                 c not in u.cand and u.staleness for c in drained for u in listed
             )
         assert missing > 10
-        idx.audit_tree(deep=True)
-
-    def test_cut_query_counts_every_survivor(self):
-        idx, store = drifting_index(seed=5, n=30_000, alpha="1/10", churn=1000)
-        cuts = 0
-        for cut, listed, drained, counted in general_queries(idx, store, 6, 600):
-            if not cut:
-                continue
-            assert sorted(map(id, counted)) == sorted(
-                id(idx.per_colour[c]) for c in drained
-            )
-            cuts += bool(drained)
-        assert cuts > 50
         idx.audit_tree(deep=True)
 
     def test_lemma_audits_stay_live_at_one_percent(self):
@@ -748,6 +732,111 @@ class TestExactTallies:
         while d.auditor.checks < 500 and d.queries < 5000:
             d.do_query()
         assert d.auditor.checks == d.general_queries >= 500
+
+
+class TestWalk:
+    """A general query is collected by one walk that cuts nothing: its
+    maximal listed nodes and the ids of every other point."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        alpha=st.sampled_from(["1/2", "1/4", "1/10", "1/100"]),
+        kind=st.sampled_from(["int", "float", "object"]),
+        seed=st.integers(min_value=0, max_value=2**16),
+        data=st.data(),
+    )
+    def test_walk_partitions_the_window(self, alpha, kind, seed, data):
+        key = {"int": lambda i: 3 * i - 500, "float": lambda i: i / 4 - 7.5,
+               "object": lambda i: ("k", i)}[kind]
+        cutoff = MajorityIndex(alpha).prune_cutoff
+        n = data.draw(st.integers(min_value=1, max_value=3 * cutoff))
+        rng = random.Random(seed)
+        keys = [key(i) for i in range(n)]
+        idx = MajorityIndex.build([(x, "c%d" % rng.randrange(5)) for x in keys], alpha, kind)
+        # churn: recolour some points and drop others, so lists go stale
+        # and the tree restructures
+        for x in rng.sample(keys, min(n - 1, 2 * cutoff)):
+            idx.delete(x)
+            if rng.random() < 0.7:
+                idx.insert(x, "c%d" % rng.randrange(5))
+        live = [x for x, _ in idx.F.items()]
+        i = data.draw(st.integers(min_value=0, max_value=len(live) - 1))
+        j = data.draw(st.integers(min_value=i, max_value=len(live) - 1))
+        a, b = live[i], live[j]
+        m = j - i + 1
+        listed, ids = idx._accumulate(a, b)
+        prev = None
+        for v in listed:
+            # a list, inside [a, b], after the node before it
+            assert v.cand is not None
+            assert a <= v.min_leaf.coord and v.max_leaf.coord <= b
+            assert prev is None or prev.max_leaf.coord < v.min_leaf.coord
+            prev = v
+            # maximal: its parent is not inside the window
+            up = v.parent
+            assert up is None or up.min_leaf.coord < a or up.max_leaf.coord > b
+        assert len(ids) + sum(v.weight for v in listed) == m
+        # ids are the window's column without the listed nodes' runs
+        covered = set()
+        for v in listed:
+            first = idx.F.rank_lt(v.min_leaf.coord) - i
+            covered.update(range(first, first + v.weight))
+        col = idx.F.values_from(a, m)
+        assert ids == array("q", (c for r, c in enumerate(col) if r not in covered))
+
+    @pytest.mark.parametrize("alpha", ["1/2", "1/4", "1/10", "1/100"])
+    def test_majorities_pass_the_quarter_filter(self, alpha):
+        # A list omits under about 1.5*beta of its node's points of any
+        # colour, stale or not, so over the disjoint listed nodes a
+        # majority's tally stays above alpha*m/4 with no height group left
+        # out
+        idx, store = drifting_index(seed=11, n=20_000, alpha=alpha, churn=3000)
+        p, q = idx._ap, idx._aq
+        rng = random.Random(12)
+        # a recolour is two updates, and at alpha 1/100 every list budget is
+        # even: single inserts leave the lists part-way through their budget
+        for x in rng.sample(range(400_000), 25):
+            if x not in store:
+                idx.insert(x, "n0")
+                store.insert(x, "n0")
+        lo_key, hi_key = idx.F.successor(-1), idx.F.predecessor(1 << 62)
+        bp, bq = idx.cfg.beta.numerator, idx.cfg.beta.denominator
+        general = stale = untracked = 0
+        for _ in range(300):
+            lo = rng.randrange(lo_key, hi_key)
+            hi = lo + int(10 ** rng.uniform(3, 6))
+            with query_spy() as queries:
+                got = idx.query_counts(lo, hi)
+            m, counts = store.counts(lo, hi)
+            want = {lab: f for lab, f in counts.items() if q * f > p * m}
+            assert got == want
+            dbg = queries[-1]
+            if dbg["mode"] != "general":
+                continue
+            general += 1
+            stale += any(v.staleness for v in dbg["listed"])
+            drained = {idx.registry.label_of(c): t for c, t in dbg["drained"]}
+            for lab, f in want.items():
+                assert 4 * q * drained[lab] > p * m
+                # a list that omits a majority holds under 1.6*beta of its node
+                c = idx.registry.id_of(lab)
+                for u in dbg["listed"]:
+                    if c not in u.cand:
+                        k = idx.per_colour[c].count_range(u.min_leaf.coord, u.max_leaf.coord)
+                        assert 10 * bq * k < 16 * bp * u.weight
+                        untracked += 1
+        assert general > 50 and stale > 20
+        # at 1/2 every majority of these windows is on each list it meets
+        assert untracked or alpha == "1/2"
+
+    def test_no_query_reads_the_height_groups(self):
+        d = FuzzDriver("1/10", seed=8, coord_lo=0, coord_hi=60_000, n_colours=12)
+        d.seed_points(8000)
+        with mock.patch.object(MajorityIndex, "_top_groups",
+                               side_effect=AssertionError("query read the height groups")), \
+                query_spy() as queries:
+            d.run(3000)
+        assert sum(dbg["mode"] == "general" for dbg in queries) > 100
 
 
 class TestScanPruned:
@@ -921,55 +1010,50 @@ class TestOracleEquivalence:
         idx.audit_tree(deep=True)
 
 
-def top_group_tally(groups) -> dict:
-    """Full tally of a query's top groups: every list entry, every leaf."""
-    out: dict = {}
-    for _, nodes in groups:
-        for v in nodes:
-            if v.cand is not None:
-                for c, n in v.cand.items():
-                    out[c] = out.get(c, 0) + n
-                continue
-            stack = [v]
-            while stack:
-                u = stack.pop()
-                if u.height:
-                    stack.extend(u.children)
-                else:
-                    out[u.colour] = out.get(u.colour, 0) + 1
+def unlisted_tally(idx, dbg) -> Counter:
+    """The colours of the general query dbg's points outside its listed
+    nodes, read from F."""
+    a, _ = dbg["snapped"]
+    out = Counter(idx.F.values_from(a, dbg["m"]))
+    for v in dbg["listed"]:
+        out.subtract(idx.F.values_from(v.min_leaf.coord, v.weight))
+    return +out
+
+
+def full_tally(idx, dbg) -> Counter:
+    """Full tally of the general query dbg: every entry of its listed
+    nodes' lists, and every other point of its window."""
+    out = unlisted_tally(idx, dbg)
+    for v in dbg["listed"]:
+        out.update(v.cand)
     return out
 
 
-def missed_without_staleness(groups, m, p, q) -> set:
+def missed_without_staleness(idx, dbg, p, q) -> set:
     """Colours over alpha*m/4 that a list scan ignoring staleness would skip."""
-    listed = [v for _, ns in groups for v in ns if v.cand is not None]
-    qk, pm = 4 * q * (len(listed) + 1), p * m
-    exact = top_group_tally([(h, [v for v in ns if v.cand is None]) for h, ns in groups])
-    seen = {c for c, n in exact.items() if qk * n > pm}
+    listed, pm = dbg["listed"], p * dbg["m"]
+    qk = 4 * q * (len(listed) + 1)
+    seen = {c for c, n in unlisted_tally(idx, dbg).items() if qk * n > pm}
     for u in listed:
         for c, n in u.cand.items():
             if qk * n <= pm:
                 break
             seen.add(c)
-    full = top_group_tally(groups)
-    return {c for c, n in full.items() if 4 * q * n > pm} - seen
+    return {c for c, n in full_tally(idx, dbg).items() if 4 * q * n > pm} - seen
 
 
 def assert_survivors_complete(idx, dbg) -> None:
     """The general query dbg's drained pairs hold every colour whose full
-    top-group tally exceeds alpha*m/4, each with exactly that tally. A
-    whole window (no listed node, no group cut) is not filtered: its one
-    count keeps the colours over alpha*m."""
+    tally exceeds alpha*m/4, each with exactly that tally. A window with
+    no listed node is not filtered: its one count keeps the colours over
+    alpha*m."""
     p, q = idx._ap, idx._aq
-    a, b = dbg["snapped"]
-    full = top_group_tally(dbg["groups"])
+    full = full_tally(idx, dbg)
     drained = dict(dbg["drained"])
     assert len(drained) == len(dbg["drained"])
     for c, n in drained.items():
         assert n == full[c]
-    listed = any(v.cand is not None for _, ns in dbg["groups"] for v in ns)
-    cut = len(group_by_height(idx._decompose_all(a, b))) > idx.cfg.top_count
-    part = 4 if listed or cut else 1
+    part = 4 if dbg["listed"] else 1
     for c, n in full.items():
         if part * q * n > p * dbg["m"]:
             assert drained.get(c) == n
@@ -998,7 +1082,7 @@ class TestPigeonhole:
             if dbg["mode"] != "general":
                 continue
             general += 1
-            stale += any(v.staleness for _, ns in dbg["groups"] for v in ns if v.cand)
+            stale += any(v.staleness for v in dbg["listed"])
             assert_survivors_complete(d.index, dbg)
         assert general and stale
 
@@ -1022,7 +1106,7 @@ class TestPigeonhole:
                 dbg = queries[-1]
                 if dbg["mode"] == "general":
                     assert_survivors_complete(idx, dbg)
-                    live += bool(missed_without_staleness(dbg["groups"], dbg["m"], 1, 4))
+                    live += bool(missed_without_staleness(idx, dbg, 1, 4))
         assert live
 
 
