@@ -31,8 +31,10 @@ holds at most ``prune_cutoff`` points, else those of the window's
 points outside its maximal listed nodes. The joined ``array('q')`` and
 the heavy pieces' listed nodes go to the 1-D queries' finish,
 ``tree.answer``, once. With no listed node, one count of the joined ids
-answers. Otherwise the tally is filtered globally at a quarter of the
-reporting threshold, and a survivor is verified only when a listed node
+answers. Otherwise a colour is a candidate only when it holds more than
+alpha/4 of some part's points, a part being one listed node, of any
+heavy piece, or the joined ids; a candidate whose tally exceeds
+alpha*m/4 survives, and a survivor is verified only when a listed node
 does not track it: by its count in the light and leaf pieces' ids plus
 its per-colour counts in the heavy pieces.
 

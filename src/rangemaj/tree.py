@@ -47,9 +47,11 @@ paths:
 
 One finish, ``answer``, serves every 1-D and planar query. When no node
 is listed, the ids are the whole window and one count of them answers.
-Otherwise a quarter of the reporting threshold filters the tallies, and
-a survivor is verified by an exact count only when some listed node
-does not track it; otherwise its tally is its exact count.
+Otherwise a colour is a candidate only when it holds more than alpha/4
+of some part's points, a part being one listed node or the ids; a
+candidate whose tally exceeds alpha*m/4 survives, and a survivor is
+verified by an exact count only when some listed node does not track
+it; otherwise its tally is its exact count.
 
 The paper reads only the top O(lg(1/alpha)) height groups of the
 canonical decomposition and verifies candidates by exact counts.
@@ -153,24 +155,27 @@ def answer(m, listed, ids, p, q, capacity, exact, *at):
     # and beta <= alpha/10.24 makes that at most 0.15*alpha*m. A colour
     # over alpha*m thus tallies more than alpha*m/4.
     #
-    # Pigeonhole: split the tally into K parts, one per listed node plus
-    # ids. A colour whose tally exceeds T = alpha*m/4 holds more than T/K
-    # in some part. A list is in count-descending order at its rebuild,
-    # and each of the `staleness` updates since moved at most one tracked
-    # count by one, so every later entry is at most the current count
-    # plus staleness: no entry past the first with count + staleness
-    # <= T/K can exceed T/K. For integer n, n > x/d exactly when
-    # n > x // d, so each test below is one integer compare.
-    part = pm // (4 * q * (len(listed) + 1))  # floor(T/K)
-    over, count = count_ids(ids, capacity, part)
+    # Pigeonhole: the tally is a sum over parts, one per listed node (of
+    # u.weight points) and one for the ids (len(ids) points), and the
+    # parts' weights sum to m. Since sum(floor(x_i)) <= floor(sum(x_i)),
+    # a colour whose tally exceeds floor(alpha*m/4) exceeds
+    # floor(alpha*w/4) in some part of weight w. A list is in
+    # count-descending order at its rebuild, and each of the `staleness`
+    # updates since moved at most one tracked count by one, so every
+    # later entry is at most the current count plus staleness: no entry
+    # past the first with count + staleness <= floor(alpha*w/4) can
+    # exceed it. For integer n, n > x/d exactly when n > x // d, so each
+    # test below is one integer compare.
+    q4 = 4 * q
+    over, count = count_ids(ids, capacity, p * len(ids) // q4)
     cands = set(over)
     for u in listed:
-        stop = part - u.staleness
+        stop = p * u.weight // q4 - u.staleness
         for c, n in u.cand.items():
             if n <= stop:
                 break
             cands.add(c)
-    quarter = pm // (4 * q)  # floor(T)
+    quarter = pm // q4  # floor(alpha*m/4)
     tallies = {}
     for c in cands:
         tally = count(c)
@@ -183,7 +188,8 @@ def answer(m, listed, ids, p, q, capacity, exact, *at):
     # a tally is the exact count when every listed node tracks its
     # colour: tracked counts are exact
     counts = dict(tallies)
-    short = [c for c in tallies if any(c not in u.cand for u in listed)]
+    tracked = set(tallies).intersection(*[u.cand for u in listed])
+    short = [c for c in tallies if c not in tracked]
     if short:
         counts.update(zip(short, exact(short, *at)))
     return {c: f for c, f in counts.items() if q * f > pm}, tallies

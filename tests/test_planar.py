@@ -3,6 +3,7 @@
 import math
 import random
 import tracemalloc
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -405,28 +406,38 @@ class TestOracleEquivalence:
             assert idx.query(xlo, xhi, ylo, yhi) == want
 
 
-def drifting_plane(seed, n, churn):
-    """An alpha = 1/10 index whose colours drift with y, plus noise, so
-    that a heavy window's frequent colour is often absent from a listed
-    node at its far end; churn recolours points afterwards, so lists go
-    stale. Returns the index, its mirror and the generator."""
+def churned_plane(seed, n, churn, alpha, colour):
+    """An index of n points whose label colour(rng, y) draws from y and
+    the generator, with churn points recoloured after the build, so
+    lists go stale. Returns the index, its mirror and the generator."""
     rng = random.Random(seed)
-
-    def colour(y):
-        return "d%d" % (y // 40) if rng.random() < 0.6 else "n%d" % rng.randrange(30)
-
     xs = rng.sample(range(100_000), n)
     ys = {x: rng.randrange(1000) for x in xs}
-    label = {x: colour(ys[x]) for x in xs}
-    idx = MajorityIndex2D.build([(x, ys[x], label[x]) for x in xs], "1/10")
+    label = {x: colour(rng, ys[x]) for x in xs}
+    idx = MajorityIndex2D.build([(x, ys[x], label[x]) for x in xs], alpha)
     for x in rng.sample(xs, churn):
         idx.delete(x)
-        label[x] = colour(ys[x])
+        label[x] = colour(rng, ys[x])
         idx.insert(x, ys[x], label[x])
     mirror = NaiveStore2D()
     for x in xs:
         mirror.insert(x, ys[x], label[x])
     return idx, mirror, rng
+
+
+def drifting_plane(seed, n, churn):
+    """An alpha = 1/10 plane whose colours drift with y, plus noise, so
+    that a heavy window's frequent colour is often absent from a listed
+    node at its far end."""
+    return churned_plane(seed, n, churn, "1/10", lambda rng, y: (
+        "d%d" % (y // 40) if rng.random() < 0.6 else "n%d" % rng.randrange(30)))
+
+
+def even_plane(seed, n, churn):
+    """An alpha = 1/4 plane over 16 colours drawn uniformly, so that every
+    colour holds about alpha/4 of most rectangles and of most listed
+    nodes, near the finish's bars."""
+    return churned_plane(seed, n, churn, "1/4", lambda rng, y: "c%d" % rng.randrange(16))
 
 
 def finished(idx, mirror, rect):
@@ -530,6 +541,48 @@ class TestExactCounts:
             )
         assert missing > 10
         idx.audit2d()
+
+    def test_survivors_complete_across_sub_indexes_and_light_ids(self):
+        # the finish weighs each part by its own points: a listed node of
+        # any heavy piece's sub-index, and the joined ids of the light and
+        # leaf pieces plus the heavy pieces' collected gaps; filtering the
+        # ids or a list against all m points would drop survivors here
+        idx, mirror, rng = even_plane(seed=11, n=20_000, churn=2000)
+        p, q = idx._ap, idx._aq
+        label = idx.registry.label_of
+        seen = []
+
+        def spy_answer(*args):
+            out = answer(*args)
+            seen.append((args, out[1]))
+            return out
+
+        def root(u):
+            while u.parent is not None:
+                u = u.parent
+            return u
+
+        mixed = 0
+        with mock.patch.object(planar, "answer", side_effect=spy_answer):
+            for rect in tall_rects(rng, 200):
+                seen.clear()
+                got = idx.query_counts(*rect)
+                args, tallies = seen[0]
+                (m, listed, ids), light = args[:3], args[8]
+                true_m, true = mirror.counts(*rect)
+                assert got == {lab: f for lab, f in true.items() if q * f > p * m}
+                assert m == true_m == len(ids) + sum(u.weight for u in listed)
+                if not listed:
+                    continue
+                full = Counter(ids)
+                for u in listed:
+                    full.update(u.cand)
+                # tracked counts are exact, so no tally exceeds the true count
+                assert all(n <= true[label(c)] for c, n in full.items())
+                assert tallies == {c: n for c, n in full.items() if 4 * q * n > p * m}
+                assert {label(c) for c in tallies} >= set(got)
+                mixed += light > 0 and len({root(u) for u in listed}) >= 2
+        assert mixed > 10
 
     def test_no_query_reads_the_height_groups(self):
         idx, mirror, rng = drifting_plane(seed=5, n=20_000, churn=500)

@@ -6,6 +6,7 @@ from array import array
 from collections import Counter
 from contextlib import contextmanager
 from itertools import islice
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -1030,16 +1031,20 @@ def full_tally(idx, dbg) -> Counter:
 
 
 def missed_without_staleness(idx, dbg, p, q) -> set:
-    """Colours over alpha*m/4 that a list scan ignoring staleness would skip."""
-    listed, pm = dbg["listed"], p * dbg["m"]
-    qk = 4 * q * (len(listed) + 1)
-    seen = {c for c, n in unlisted_tally(idx, dbg).items() if qk * n > pm}
-    for u in listed:
+    """Colours over alpha*m/4 that list scans ignoring staleness would
+    skip: each part, a listed node of weight w or the other points, is
+    read against its own bar floor(alpha*w/4)."""
+    q4 = 4 * q
+    unlisted = unlisted_tally(idx, dbg)
+    bar = p * sum(unlisted.values()) // q4
+    seen = {c for c, n in unlisted.items() if n > bar}
+    for u in dbg["listed"]:
+        bar = p * u.weight // q4
         for c, n in u.cand.items():
-            if qk * n <= pm:
+            if n <= bar:
                 break
             seen.add(c)
-    return {c for c, n in full_tally(idx, dbg).items() if 4 * q * n > pm} - seen
+    return {c for c, n in full_tally(idx, dbg).items() if q4 * n > p * dbg["m"]} - seen
 
 
 def assert_survivors_complete(idx, dbg) -> None:
@@ -1057,6 +1062,58 @@ def assert_survivors_complete(idx, dbg) -> None:
     for c, n in full.items():
         if part * q * n > p * dbg["m"]:
             assert drained.get(c) == n
+
+
+@st.composite
+def synthetic_parts(draw):
+    """A general query's parts, made up: (p, q, listed, ids, full) with
+    stub listed nodes, the array('q') ids of the other points, and each
+    colour's full tally.
+
+    A part's weight is 4q*j + r, with r often 0 or 1 so that the
+    fractional parts of alpha*w/4 often sum below one. Colour 1 sits at
+    its part's bar floor(alpha*w/4) in every part; colour 2 does too,
+    except one past it in one part, so that its full tally often exceeds
+    floor(alpha*m/4) by exactly that one. Colours 3 to 8 fill the rest,
+    and colour 9 the ids part's last points. A node's list tracks the
+    two edge colours and some fillers, in count-descending order at its
+    rebuild, and then at most its staleness in unit moves changed them.
+    """
+    p, q = draw(st.sampled_from([(1, 2), (1, 4), (1, 10), (3, 10)]))
+    q4 = 4 * q
+    k = draw(st.integers(1, 5))
+    bumped = draw(st.integers(0, k))  # k is the ids part
+    listed, full = [], Counter()
+    for i in range(k + 1):
+        r = draw(st.integers(0, 1) | st.integers(0, q4 - 1))
+        w = q4 * draw(st.integers(1, 8)) + r
+        bar = p * w // q4
+        counts = {1: bar, 2: bar + (i == bumped)}
+        room = w - counts[1] - counts[2]
+        for c in range(3, 9):
+            counts[c] = draw(st.integers(0, room))
+            room -= counts[c]
+        if i == k:
+            counts[9] = room
+            ids = array("q", [c for c, n in counts.items() for _ in range(n)])
+            full.update(counts)
+            continue
+        fillers = draw(st.sets(st.integers(3, 8)))
+        now = {c: n for c, n in counts.items() if n and (c < 3 or c in fillers)}
+        then, moves = dict(now), 0
+        for c, step in draw(st.lists(st.tuples(st.sampled_from(sorted(now)),
+                                               st.sampled_from([-1, 1])))
+                            if now else st.just([])):
+            if then[c] > step:  # the rebuild listed a positive count
+                then[c] -= step
+                moves += 1
+        order = sorted(then, key=lambda c: (-then[c], c))
+        listed.append(SimpleNamespace(
+            weight=w, staleness=moves + draw(st.integers(0, 2)),
+            cand={c: now[c] for c in order},
+        ))
+        full.update(now)
+    return p, q, listed, ids, full
 
 
 class TestPigeonhole:
@@ -1108,6 +1165,19 @@ class TestPigeonhole:
                     assert_survivors_complete(idx, dbg)
                     live += bool(missed_without_staleness(idx, dbg, 1, 4))
         assert live
+
+    @settings(max_examples=300, deadline=None)
+    @given(synthetic_parts())
+    def test_answer_keeps_every_tally_over_a_quarter(self, parts):
+        # every colour whose full tally exceeds floor(alpha*m/4) survives
+        # with exactly that tally, including colour 2 when it clears its
+        # part's floor bar by one
+        p, q, listed, ids, full = parts
+        m = sum(u.weight for u in listed) + len(ids)
+        out, tallies = tree.answer(m, listed, ids, p, q, 9,
+                                   lambda cs: [full[c] for c in cs])
+        assert tallies == {c: n for c, n in full.items() if n > p * m // (4 * q)}
+        assert out == {c: n for c, n in full.items() if q * n > p * m}
 
 
 class TestStats:
