@@ -12,9 +12,13 @@ relabel. A re-spread keeps the order of the keys, so the integer
 majority index renames the window's keys in place (``relabel``) and
 sees one insert, for the new slot; the moved-key count is the exported
 cost measure. ``from_colours`` builds an array in one bulk index build
-over evenly spread labels. The array keeps only the labels: a slot's
-colour is the index's colour id at its label, read back through the
-registry.
+over evenly spread labels.
+
+The array stores nothing beside the index: the labels are the keys of
+the index's point set ``F``, position i is the key of rank i - 1
+(``F.select``), a window's size is one ``F.count_range``, and a slot's
+colour is the colour id in ``F``'s column at its label, read back
+through the registry.
 """
 
 from __future__ import annotations
@@ -54,9 +58,7 @@ class DynamicColourArray:
 
     def __init__(self, alpha):
         self.engine = MajorityIndex(alpha, "int")
-        self._labels: list[int] = []
         self.moves = 0  # keys relabelled by respreads
-        self.ops = 0
 
     @classmethod
     def from_colours(cls, colours, alpha) -> DynamicColourArray:
@@ -65,13 +67,13 @@ class DynamicColourArray:
         index build from the labels, which are in order already."""
         self = cls(alpha)
         colours = list(colours)
-        self._labels = _spread(0, UNIVERSE, len(colours))
         engine = self.engine
-        engine._load_sorted(self._labels, engine.registry.intern_all(colours))
+        labels = _spread(0, UNIVERSE, len(colours))
+        engine._load_sorted(labels, engine.registry.intern_all(colours))
         return self
 
     def __len__(self) -> int:
-        return len(self._labels)
+        return len(self.engine.F)
 
     @property
     def alpha(self):
@@ -79,55 +81,27 @@ class DynamicColourArray:
 
     # ---- label management ----
 
-    def _respread(self, lo: int, level: int, s: int, e: int, idx: int) -> int:
-        """Evenly relabel positions s..e-1 across [lo, lo + 2^level),
-        renaming the engine's keys in place; return the label of the new
-        slot idx among them, which the engine does not hold yet."""
-        k = e - s
+    def _respread(self, lo: int, level: int, k: int, slot: int) -> int:
+        """Evenly relabel the k slots of the window [lo, lo + 2^level),
+        the new one at index slot among them, renaming the engine's keys
+        in place; return the new slot's label, which the engine does not
+        hold yet."""
         assert k < 1 << level
-        labels = self._labels
         fresh = _spread(lo, 1 << level, k)
-        slot = idx - s
-        old = labels[s:idx] + labels[idx + 1 : e]
-        labels[s:e] = fresh
-        self.engine.relabel(old, fresh[:slot] + fresh[slot + 1 :])
+        self.engine.relabel(lo, fresh[:slot] + fresh[slot + 1 :])
         self.moves += k - 1  # the new slot's first labeling is not a move
         return fresh[slot]
 
-    def _assign(self, idx: int, colour) -> None:
-        """Label the already-spliced slot at list index idx and insert it
-        into the engine."""
-        labels = self._labels
-        n = len(labels)
-        left = labels[idx - 1] if idx > 0 else -1
-        right = labels[idx + 1] if idx + 1 < n else UNIVERSE
-        step = (right - left) // 2
-        if 0 < idx == n - 1:  # a tail append
-            step = min(step, TAIL_STRIDE)
-        if step:
-            label = left + step
-        else:
-            label = self._crowded(idx)
-        labels[idx] = label
-        self.engine.insert(label, colour)
-
-    def _crowded(self, idx: int) -> int:
-        # find the smallest aligned window around the anchor that stays
-        # under its density threshold once the new slot joins
-        labels = self._labels
-        n = len(labels)
-        anchor = labels[idx - 1] if idx > 0 else labels[idx + 1]
+    def _crowded(self, idx: int, anchor: int) -> int:
+        # find the smallest aligned window around the anchor, a neighbour
+        # of the new slot idx, that stays under its density threshold
+        # once the new slot joins
+        F = self.engine.F
         for level in range(_FLOOR_LEVEL, BITS + 1):
             lo = (anchor >> level) << level
-            hi = lo + (1 << level)
-            s = idx
-            while s > 0 and labels[s - 1] >= lo:
-                s -= 1
-            e = idx + 1
-            while e < n and labels[e] < hi:
-                e += 1
-            if _window_ok(e - s, level):
-                return self._respread(lo, level, s, e, idx)
+            k = F.count_range(lo, lo + (1 << level) - 1) + 1
+            if _window_ok(k, level):
+                return self._respread(lo, level, k, idx - F.rank_lt(lo))
         raise OverflowError("label universe exhausted")
 
     # ---- operations ----
@@ -136,35 +110,44 @@ class DynamicColourArray:
         if isinstance(i, bool) or not isinstance(i, int) or not 1 <= i <= hi:
             raise IndexError(f"position {i!r} out of range [1, {hi}]")
 
+    def _label(self, i: int) -> int:
+        """The label at position i, which must be in range."""
+        F = self.engine.F
+        self._check_pos(i, len(F))
+        return F.select(i - 1)
+
     def insert(self, i: int, colour) -> None:
         """Insert colour between positions i-1 and i (1 <= i <= n+1)."""
-        self._check_pos(i, len(self._labels) + 1)
-        self._labels.insert(i - 1, None)
-        self._assign(i - 1, colour)
-        self.ops += 1
+        F = self.engine.F
+        n = len(F)
+        self._check_pos(i, n + 1)
+        left = F.select(i - 2) if i > 1 else -1
+        right = F.select(i - 1) if i <= n else UNIVERSE
+        step = (right - left) // 2
+        if 1 < i == n + 1:  # a tail append
+            step = min(step, TAIL_STRIDE)
+        if step:
+            label = left + step
+        else:
+            label = self._crowded(i - 1, left if i > 1 else right)
+        self.engine.insert(label, colour)
 
     def append(self, colour) -> None:
-        self.insert(len(self._labels) + 1, colour)
+        self.insert(len(self) + 1, colour)
 
     def delete(self, i: int) -> None:
         """Remove position i; later positions shift left. No relabels."""
-        self._check_pos(i, len(self._labels))
-        label = self._labels.pop(i - 1)
-        self.engine.delete(label)
-        self.ops += 1
+        self.engine.delete(self._label(i))
 
     def modify(self, i: int, colour) -> None:
         """Replace the colour at position i, keeping its label."""
-        self._check_pos(i, len(self._labels))
-        label = self._labels[i - 1]
+        label = self._label(i)
         self.engine.delete(label)
         self.engine.insert(label, colour)
-        self.ops += 1
 
     def get(self, i: int):
-        self._check_pos(i, len(self._labels))
         engine = self.engine
-        return engine.registry.label_of(engine.F.values_from(self._labels[i - 1], 1)[0])
+        return engine.registry.label_of(engine.F.values_from(self._label(i), 1)[0])
 
     def query(self, i: int, j: int) -> set:
         return set(self.query_counts(i, j))
@@ -172,21 +155,17 @@ class DynamicColourArray:
     def query_counts(self, i: int, j: int) -> dict:
         """Strict alpha-majorities of A[i..j] with exact counts; {} when
         i > j."""
-        self._check_pos(i, len(self._labels))
-        self._check_pos(j, len(self._labels))
+        lo, hi = self._label(i), self._label(j)
         if i > j:
             return {}
-        return self.engine.query_counts(self._labels[i - 1], self._labels[j - 1])
+        return self.engine.query_counts(lo, hi)
 
     # ---- audits ----
 
     def audit(self, deep: bool = False) -> None:
-        labels = self._labels
-        assert len(labels) == len(self.engine)
-        for t in range(1, len(labels)):
-            assert labels[t - 1] < labels[t], f"label order broken at {t}"
-        if labels:
-            assert 0 <= labels[0] and labels[-1] < UNIVERSE
-            got = sorted(lf.coord for lf in self.engine.leaves())
-            assert got == labels, "engine keys drifted from labels"
+        """The engine's audit, which checks that its keys, the labels,
+        ascend strictly, plus the labels' bounds."""
+        F = self.engine.F
+        if len(F):
+            assert 0 <= F.select(0) and F.select(len(F) - 1) < UNIVERSE
         self.engine.audit_tree(deep=deep)

@@ -2,8 +2,9 @@
 
 Keys live in sorted blocks of a few hundred entries; a directory of block
 minima plus a Fenwick tree over block sizes turns every rank query into one
-directory bisect, one Fenwick prefix, and one in-block bisect. Works for any
-totally ordered key type (ints, floats, tuples).
+directory bisect, one Fenwick prefix, and one in-block bisect, and finding
+the key of a given rank (``select``) into one descent of the Fenwick tree.
+Works for any totally ordered key type (ints, floats, tuples).
 
 A set may carry a column: one signed 64-bit integer per key, kept in
 ``array('q')`` value blocks parallel to the key blocks by the same insert,
@@ -197,6 +198,23 @@ class CountedOrderedSet:
         upto_hi = 0 if j < 0 else self._fen_prefix(j) + bisect_right(self._blocks[j], hi)
         return upto_hi - below_lo
 
+    def select(self, k):
+        """The stored key of rank k, counting from 0; IndexError unless
+        0 <= k < len(self)."""
+        if not 0 <= k < self._size:
+            raise IndexError(f"rank {k} out of range [0, {self._size})")
+        # descend the Fenwick tree to the last block start at or below k
+        fen = self._fen
+        n = len(fen)
+        i, step = 0, 1 << ((n - 1).bit_length() - 1)
+        while step:
+            j = i + step
+            if j < n and fen[j] <= k:
+                i = j
+                k -= fen[j]
+            step >>= 1
+        return self._blocks[i][k]
+
     def predecessor(self, key):
         """Largest stored key <= key, or None."""
         i = bisect_right(self._mins, key) - 1
@@ -238,10 +256,10 @@ class CountedOrderedSet:
             out += vals[i][: count - len(out)]
         return out
 
-    def replace_run(self, key, keys) -> None:
+    def replace_run(self, key, keys) -> list:
         """Overwrite the len(keys) stored keys from the first one at or
-        above key with keys, in place; block sizes, the Fenwick tree and
-        the column stay as they are.
+        above key with keys, in place, and return the keys overwritten;
+        block sizes, the Fenwick tree and the column stay as they are.
 
         The caller keeps the order: keys is sorted, and no stored key
         outside the run falls between its old and its new keys.
@@ -253,15 +271,18 @@ class CountedOrderedSet:
         else:
             pos = bisect_left(blocks[i], key)
         done, count = 0, len(keys)
+        old = []
         while done < count:
             block = blocks[i]
             take = min(len(block) - pos, count - done)
+            old += block[pos : pos + take]
             block[pos : pos + take] = keys[done : done + take]
             if pos == 0:
                 mins[i] = block[0]
             done += take
             i += 1
             pos = 0
+        return old
 
     def __iter__(self):
         """Stored keys in order."""

@@ -92,19 +92,12 @@ class LemmaAuditor:
         # here for the top groups as well as for the nodes below them
         counted: dict = {}
         for v in [n for _, ns in groups for n in ns] + below:
-            if v.height == 0:
-                counted[v.colour] = counted.get(v.colour, 0) + 1
-            elif v.cand is not None:
+            if v.cand is not None:
                 for cid, cnt in v.cand.items():
                     counted[cid] = counted.get(cid, 0) + cnt
-            else:
-                stack = [v]
-                while stack:
-                    u = stack.pop()
-                    if u.height:
-                        stack.extend(u.children)
-                    else:
-                        counted[u.colour] = counted.get(u.colour, 0) + 1
+            else:  # a leaf or an unlisted node: its slice of F's column
+                for cid in idx.F.values_from(v.min_leaf.coord, v.weight):
+                    counted[cid] = counted.get(cid, 0) + 1
 
         k1 = idx.cfg.candidate_bound + 1
         num, den = FILTER_MARGIN.numerator, FILTER_MARGIN.denominator

@@ -11,8 +11,9 @@ frequent colours with counts, rebuilt lazily on a staleness budget;
 light nodes are scanned directly.
 
 The point set ``F`` carries each point's colour id in its numeric
-column, in coordinate order, so a node's leaves are the ``weight``
-entries of that column from the node's first coordinate on, read as one
+column, in coordinate order, and is the one record of it: a leaf holds
+only its coordinate, and a node's colours are the ``weight`` entries of
+that column from the node's first coordinate on, read as one
 ``array('q')``. A list rebuild therefore costs one lookup of that key in
 ``F`` plus a numpy count of the slice (``top_colours``), linear in the
 node's weight, that touches no leaf object: ``bincount`` while the
@@ -233,16 +234,15 @@ def group_by_height(nodes):
 
 
 class _Leaf:
-    __slots__ = ("coord", "colour", "parent", "anc", "min_leaf", "max_leaf")
+    __slots__ = ("coord", "parent", "anc", "min_leaf", "max_leaf")
 
     height = 0
     weight = 1
     children = None
     cand = None
 
-    def __init__(self, coord, colour):
+    def __init__(self, coord):
         self.coord = coord
-        self.colour = colour
         self.parent = None
         self.anc = None
         self.min_leaf = self
@@ -399,7 +399,7 @@ class MajorityIndex:
             pc = self.per_colour[int(by_colour[i])] = CountedOrderedSet()
             pc.load_sorted(grouped[i:j])
 
-        level = list(map(_Leaf, keys, cids))
+        level = list(map(_Leaf, keys))
         h = 0
         while len(level) > 1:
             h += 1
@@ -571,7 +571,7 @@ class MajorityIndex:
             self.per_colour[cid] = pc
         pc.insert(x)
 
-        leaf = _Leaf(x, cid)
+        leaf = _Leaf(x)
         if self.root is None:
             self.root = leaf
             return
@@ -646,29 +646,27 @@ class MajorityIndex:
                     self._upkeep_delete(v, cid)
         return cid
 
-    def relabel(self, old_keys, new_keys) -> None:
-        """Rename the stored keys old_keys to new_keys in place.
+    def relabel(self, first, new_keys) -> None:
+        """Rename the len(new_keys) stored keys from the first one at or
+        above first to new_keys, in place.
 
-        Both are sorted and of one length, old_keys are consecutive in F,
-        and no other stored key falls between an old key and its new one.
-        The order of the points is then unchanged, and with it the tree
-        shape, every node's weight, colours, list and staleness: only the
-        keys in F, in the per-colour sets and on the leaves are rewritten.
+        new_keys is sorted, and no other stored key falls between an old
+        key and its new one. The order of the points is then unchanged,
+        and with it the tree shape, every node's weight, colours, list
+        and staleness: only the keys in F, in the per-colour sets and on
+        the leaves are rewritten.
         """
-        k = len(old_keys)
-        if k != len(new_keys):
-            raise ValueError("relabel needs one new key per old key")
-        if not k:
+        if not new_keys:
             return
-        first = old_keys[0]
+        cids = self.F.values_from(first, len(new_keys))
+        old_keys = self.F.replace_run(first, new_keys)
         runs: dict = {}  # colour id -> (its first old key, its new keys)
-        for cid, old, new in zip(self.F.values_from(first, k), old_keys, new_keys):
+        for cid, old, new in zip(cids, old_keys, new_keys):
             run = runs.get(cid)
             if run is None:
                 runs[cid] = (old, [new])
             else:
                 run[1].append(new)
-        self.F.replace_run(first, new_keys)
         for cid, (start, keys) in runs.items():
             self.per_colour[cid].replace_run(start, keys)
         for key, leaf in zip(new_keys, self._leaves_from(first)):
@@ -700,19 +698,10 @@ class MajorityIndex:
     def _apply_remap(self, mapping) -> None:
         self.per_colour = {mapping[c]: pc for c, pc in self.per_colour.items()}
         self.F.map_values(mapping.__getitem__)
-        if self.root is not None:
-            stack = [self.root]
-            while stack:
-                u = stack.pop()
-                if u.height:
-                    if u.cand is not None:
-                        # stale entries of fully-deleted colours are dropped
-                        u.cand = {
-                            mapping[c]: n for c, n in u.cand.items() if c in mapping
-                        }
-                    stack.extend(u.children)
-                else:
-                    u.colour = mapping[u.colour]
+        for u in self.internal_nodes():
+            if u.cand is not None:
+                # stale entries of fully-deleted colours are dropped
+                u.cand = {mapping[c]: n for c, n in u.cand.items() if c in mapping}
 
     # ---- range machinery ----
 
@@ -893,34 +882,32 @@ class MajorityIndex:
 
     def audit_structure(self, deep=False) -> None:
         """Structural invariants, every colour id live in the registry;
-        deep adds exact recounts of fresh lists."""
+        deep adds exact recounts of fresh lists from F's column."""
+        assert list(self.F) == [lf.coord for lf in self.leaves()], (
+            "F's keys out of step with the leaves"
+        )
         if self.root is None:
-            assert len(self.F) == 0
             return
         assert self.root.parent is None
         k_store = self.cfg.list_size
 
         def walk(v):
             if v.height == 0:
-                self.registry.label_of(v.colour)
-                return 1, v, v, (Counter((v.colour,)) if deep else None)
+                return 1, v, v
             deg = len(v.children)
             assert MIN_DEGREE <= deg <= MAX_DEGREE, f"degree {deg} at height {v.height}"
             w = 0
-            counts = Counter() if deep else None
             prev_max = None
             for c in v.children:
                 assert c.parent is v
                 assert c.height == v.height - 1
-                cw, cmin, cmax, ccounts = walk(c)
+                cw, cmin, cmax = walk(c)
                 assert c.weight == cw
                 assert c.min_leaf is cmin and c.max_leaf is cmax
                 if prev_max is not None:
                     assert prev_max.coord < cmin.coord
                 prev_max = cmax
                 w += cw
-                if deep:
-                    counts.update(ccounts)
             assert v.weight == w
             assert v.min_leaf is v.children[0].min_leaf
             assert v.max_leaf is v.children[-1].max_leaf
@@ -936,6 +923,7 @@ class MajorityIndex:
                     self.registry.label_of(cid)
                     assert 1 <= cnt <= v.weight
                 if deep:
+                    counts = Counter(self.F.values_from(v.min_leaf.coord, w))
                     for cid, cnt in v.cand.items():
                         assert counts[cid] == cnt, "tracked count drifted from truth"
                     bn, bd = self.cfg.beta.numerator, self.cfg.beta.denominator
@@ -953,18 +941,17 @@ class MajorityIndex:
                         )
             else:
                 assert v.weight <= self.prune_cutoff
-            return w, v.min_leaf, v.max_leaf, counts
+            return w, v.min_leaf, v.max_leaf
 
-        w, _, _, _ = walk(self.root)
+        w, _, _ = walk(self.root)
         assert w == len(self.F)
-        assert list(self.F.items()) == [(lf.coord, lf.colour) for lf in self.leaves()], (
-            "colour column out of step with the leaves"
-        )
         by_colour: dict = {}
         for x, cid in self.F.items():
             by_colour.setdefault(cid, []).append(x)
+        for cid in by_colour:
+            self.registry.label_of(cid)
         assert {c: list(pc) for c, pc in self.per_colour.items()} == by_colour, (
-            "per-colour sets out of step with the leaves"
+            "per-colour sets out of step with F"
         )
         if deep:
             self.F.audit()

@@ -1,5 +1,6 @@
 """Positional colour array: labeling, replay accounting, query parity."""
 
+import hashlib
 import math
 import random
 from collections import Counter
@@ -181,12 +182,30 @@ class TestLabeling:
         lg = math.log2(max(ops, 2))
         assert arr.moves <= 8 * ops * lg * lg
 
+    def test_midpoint_respreads_pinned(self):
+        # criterion 9's 5,000-op prefix of midpoint inserts respreads
+        # often; the windows _crowded picks decide every label, so the
+        # move count and the engine's (label, colour id) pairs equal the
+        # values of the earlier implementation, which kept the labels in
+        # a list and widened each window label by label
+        arr = DynamicColourArray(Fraction(1, 2))
+        rng = random.Random(900)
+        for _ in range(5000):
+            arr.insert(len(arr) // 2 + 1, "m%d" % rng.randrange(8))
+        pairs = repr(list(arr.engine.F.items())).encode()
+        assert arr.moves == 237359
+        assert hashlib.sha256(pairs).hexdigest() == (
+            "dd4c8511982ae6578a4e18c2370263a673daf2b3b4e179278b1e71d36258e6e1"
+        )
+        arr.audit(deep=True)
+
     def test_labels_stay_inside_universe(self):
         arr = DynamicColourArray(Fraction(1, 2))
         for t in range(200):
             arr.insert(len(arr) + 1, "x")
             arr.insert(1, "y")
-        assert 0 <= arr._labels[0] and arr._labels[-1] < UNIVERSE
+        F = arr.engine.F
+        assert 0 <= F.select(0) and F.select(len(F) - 1) < UNIVERSE
         arr.audit()
 
 

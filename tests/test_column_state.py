@@ -2,8 +2,9 @@
 
 Inserts, deletes, queries, forced registry remaps and (for the kinds a
 snapshot stores) a save-and-load round trip run in random interleavings
-against a plain dict; after every step the column equals the leaves'
-colours in order, each live colour holds one registry reference per
+against a plain dict; after every step F's keys equal the leaves'
+coordinates and the dict's keys, the column's colours are the dict's
+labels in key order, each live colour holds one registry reference per
 point of that colour (forced remaps included), and every query equals a
 brute-force count.
 """
@@ -115,13 +116,14 @@ def machine_for(kind):
 
         @invariant()
         def column_matches_leaves(self):
-            leaves = list(self.idx.leaves())
-            assert [c for _, c in self.idx.F.items()] == [lf.colour for lf in leaves]
-            assert [lf.coord for lf in leaves] == sorted(self.ref)
+            F, reg = self.idx.F, self.idx.registry
+            assert list(F) == [lf.coord for lf in self.idx.leaves()] == sorted(self.ref)
+            assert [reg.label_of(c) for _, c in F.items()] == [
+                self.ref[x] for x in sorted(self.ref)
+            ]
             # audit_tree checks refcount(c) == len(per_colour[c]) for every
             # live id; the model checks the same by label
             self.idx.audit_tree()
-            reg = self.idx.registry
             held = {reg.label_of(c): reg.refcount(c) for c in reg.live_ids()}
             assert held == Counter(self.ref.values())
 

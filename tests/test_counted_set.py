@@ -448,7 +448,7 @@ def test_replace_run_across_a_block_boundary(with_column):
     cs, keys = spaced_set(with_column)
     start = TARGET_BLOCK - 5  # five keys in block 0, seven in block 1
     new = [k + 3 for k in keys[start : start + 12]]
-    cs.replace_run(keys[start], new)
+    assert cs.replace_run(keys[start], new) == keys[start : start + 12]
     keys[start : start + 12] = new
     assert cs._mins[1] == keys[TARGET_BLOCK]
     check_replaced(cs, keys, with_column)
@@ -492,7 +492,7 @@ def test_replace_run_property(keys, data):
     new = sorted(data.draw(st.sets(
         st.integers(below + 1, above - 1), min_size=count, max_size=count
     )))
-    cs.replace_run(keys[start], new)
+    assert cs.replace_run(keys[start], new) == keys[start : start + count]
     want = keys[:start] + new + keys[start + count :]
     cs.audit()
     assert list(cs) == want
@@ -504,3 +504,63 @@ def test_replace_run_property(keys, data):
         assert cs.predecessor(probe) == ref.predecessor(probe)
         assert cs.successor(probe) == ref.successor(probe)
         assert cs.count_range(probe, probe + 500) == ref.count_range(probe, probe + 500)
+
+
+# ---- select: the key of a given rank ----
+
+
+def check_select(cs):
+    ref = list(cs)
+    assert [cs.select(k) for k in range(len(ref))] == ref
+    for k in (-1, len(ref)):
+        with pytest.raises(IndexError):
+            cs.select(k)
+
+
+@pytest.mark.parametrize("with_column", [False, True], ids=["plain", "column"])
+@settings(max_examples=40, deadline=None)
+@given(
+    initial=st.lists(st.integers(0, 20_000), max_size=3 * TARGET_BLOCK, unique=True),
+    band=st.integers(0, 20_000),
+    grow=st.lists(st.integers(0, 999), max_size=2 * SPLIT_AT),
+    keep=st.floats(0, 1),
+    seed=st.integers(0, 2**32),
+)
+def test_select_through_splits_and_merges(with_column, initial, band, grow, keep, seed):
+    cs = CountedOrderedSet()
+    initial.sort()
+    cs.load_sorted(initial, [value_of(k) for k in initial] if with_column else None)
+    check_select(cs)
+    # inserts crowd one band of keys, so the blocks there split
+    for k in grow:
+        k += band
+        if with_column:
+            cs.insert(k, lambda k=k: value_of(k))
+        else:
+            cs.insert(k)
+    check_select(cs)
+    # deletes thin every block out, so neighbours merge
+    held = list(cs)
+    for k in random.Random(seed).sample(held, len(held) - int(keep * len(held))):
+        cs.delete(k)
+    cs.audit()
+    check_select(cs)
+
+
+@pytest.mark.parametrize("with_column", [False, True], ids=["plain", "column"])
+def test_select_after_forced_splits_and_merges(with_column):
+    cs = column_set(range(3 * SPLIT_AT)) if with_column else CountedOrderedSet()
+    if not with_column:
+        for k in range(3 * SPLIT_AT):
+            cs.insert(k)
+    split = len(cs._blocks)
+    assert split > 3
+    check_select(cs)
+    for k in range(3 * SPLIT_AT):
+        if k % 8:
+            cs.delete(k)
+    assert len(cs._blocks) < split  # blocks under MERGE_BELOW merged
+    cs.audit()
+    check_select(cs)
+    assert cs.select(len(cs) - 1) == 3 * SPLIT_AT - 8
+    check_select(CountedOrderedSet())

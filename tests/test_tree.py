@@ -5,7 +5,6 @@ import random
 from array import array
 from collections import Counter
 from contextlib import contextmanager
-from itertools import islice
 from types import SimpleNamespace
 from unittest import mock
 
@@ -380,12 +379,12 @@ class TestCandidateLists:
 
 
 class TestRebuildEquivalence:
-    """``rebuild_list`` against a ``Counter`` over the node's leaves."""
+    """``rebuild_list`` against a ``Counter`` over the node's slice of
+    F's column."""
 
     @staticmethod
     def counter_list(idx, v):
-        leaves = islice(idx._leaves_from(v.min_leaf.coord), v.weight)
-        counts = Counter(lf.colour for lf in leaves)
+        counts = Counter(idx.F.values_from(v.min_leaf.coord, v.weight))
         return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[: idx.cfg.list_size]
 
     @pytest.mark.parametrize("sparse", [False, True], ids=["bincount", "unique"])
@@ -905,6 +904,44 @@ class TestRemapIntegration:
         d.p_insert, d.p_delete = 0.30, 0.45
         d.run(6000)
         d.index.audit_tree(deep=True)
+
+
+class TestRelabel:
+    @pytest.mark.parametrize("start", [TARGET_BLOCK - 30, 0, 2 * TARGET_BLOCK - 1])
+    def test_run_renamed_in_place_answers_like_a_fresh_build(self, start):
+        # keys 0, 10, 20, ... over three blocks of F; the run of 60 keys
+        # from start (across a block boundary of F in the first and last
+        # cases) is packed up against the key before it, as a respread
+        # packs a window, so no other key falls between an old key and
+        # its new one
+        rng = random.Random(start)
+        keys = list(range(0, 30 * TARGET_BLOCK, 10))
+        colours = ["c0" if rng.random() < 0.45 else "c%d" % rng.randrange(1, 6) for _ in keys]
+        idx = MajorityIndex.build(zip(keys, colours), "1/4")
+        assert len(idx.F._blocks) == 3
+        count = 60
+        first = keys[start - 1] + 1 if start else -5
+        new = [first + t for t in range(count)]
+        stats = dict(idx.stats)
+        lists = [(v.weight, v.staleness, dict(v.cand or {})) for v in idx.internal_nodes()]
+        idx.relabel(first, new)
+        renamed = keys[:start] + new + keys[start + count :]
+        assert list(idx.F) == renamed
+        assert [(v.weight, v.staleness, dict(v.cand or {})) for v in idx.internal_nodes()] == lists
+        assert idx.stats == stats
+        idx.audit_tree(deep=True)
+        ref = MajorityIndex.build(zip(renamed, colours), "1/4")
+        probes = renamed[max(0, start - 3) : start + count + 3] + rng.sample(renamed, 40)
+        for a in probes:
+            for b in probes[::3]:
+                assert idx.query_counts(a, b) == ref.query_counts(a, b), (a, b)
+        assert idx.query_counts(-10, 10**6) == ref.query_counts(-10, 10**6)
+
+    def test_nothing_to_rename(self):
+        idx = small_index()
+        idx.relabel(2, [])
+        assert list(idx.F) == [1, 2, 3]
+        idx.audit_tree(deep=True)
 
 
 class TestOracleEquivalence:
