@@ -17,15 +17,18 @@ over evenly spread labels.
 The array stores nothing beside the index: the labels are the keys of
 the index's point set ``F``, position i is the key of rank i - 1
 (``F.select``), a window's size is one ``F.count_range``, and a slot's
-colour is the colour id in ``F``'s column at its label, read back
-through the registry.
+colour is the colour id in ``F``'s column at rank i - 1 (``F.values_at``),
+read back through the registry. Positions are ranks, so a query hands
+A[i..j] to the index as the window of j - i + 1 ranks from i - 1 on and
+finishes it through ``tree.answer``; it reads the two end labels only
+when a survivor needs an exact per-colour count.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .tree import MajorityIndex
+from .tree import MajorityIndex, answer
 
 BITS = 62
 UNIVERSE = 1 << BITS
@@ -146,8 +149,9 @@ class DynamicColourArray:
         self.engine.insert(label, colour)
 
     def get(self, i: int):
-        engine = self.engine
-        return engine.registry.label_of(engine.F.values_from(self._label(i), 1)[0])
+        F = self.engine.F
+        self._check_pos(i, len(F))
+        return self.engine.registry.label_of(F.values_at(i - 1, 1)[0])
 
     def query(self, i: int, j: int) -> set:
         return set(self.query_counts(i, j))
@@ -155,10 +159,25 @@ class DynamicColourArray:
     def query_counts(self, i: int, j: int) -> dict:
         """Strict alpha-majorities of A[i..j] with exact counts; {} when
         i > j."""
-        lo, hi = self._label(i), self._label(j)
+        n = len(self)
+        self._check_pos(i, n)
+        self._check_pos(j, n)
         if i > j:
             return {}
-        return self.engine.query_counts(lo, hi)
+        engine = self.engine
+        engine.stats["queries"] += 1
+        m, listed, ids = engine._collect_ranks(i - 1, j - i + 1)
+        out = answer(
+            m, listed, ids, engine._ap, engine._aq, engine.registry.capacity,
+            self._exact, i, j,
+        )[0]
+        label = engine.registry.label_of
+        return {label(cid): f for cid, f in out.items()}
+
+    def _exact(self, cids, i, j) -> list:
+        """The counts of the colour ids cids in A[i..j]."""
+        F = self.engine.F
+        return self.engine._colour_counts(cids, F.select(i - 1), F.select(j - 1))
 
     # ---- audits ----
 

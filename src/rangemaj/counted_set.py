@@ -3,16 +3,18 @@
 Keys live in sorted blocks of a few hundred entries; a directory of block
 minima plus a Fenwick tree over block sizes turns every rank query into one
 directory bisect, one Fenwick prefix, and one in-block bisect, and finding
-the key of a given rank (``select``) into one descent of the Fenwick tree.
-Works for any totally ordered key type (ints, floats, tuples).
+the block and offset of a given rank into one descent of the Fenwick tree
+(``select`` reads the key there). Works for any totally ordered key type
+(ints, floats, tuples).
 
 A set may carry a column: one signed 64-bit integer per key, kept in
 ``array('q')`` value blocks parallel to the key blocks by the same insert,
 delete, split, merge and bulk-load code. A set with a column holds each
 key once. The index's point set keeps each point's colour id there, so the
-colours of any key range come out as one ``array('q')`` (``values_from``),
-joined from block slices by memory copies, which ``numpy.frombuffer``
-reads without a copy. A set gets its column from ``load_sorted(keys,
+colours of any run of keys come out as one ``array('q')``, joined from
+block slices by memory copies, which ``numpy.frombuffer`` reads without a
+copy: ``values_at`` takes the run's first rank and costs one descent,
+``values_from`` takes a key and costs bisects. A set gets its column from ``load_sorted(keys,
 values)``; ``load_sorted((), ())`` starts an empty one.
 """
 
@@ -198,12 +200,10 @@ class CountedOrderedSet:
         upto_hi = 0 if j < 0 else self._fen_prefix(j) + bisect_right(self._blocks[j], hi)
         return upto_hi - below_lo
 
-    def select(self, k):
-        """The stored key of rank k, counting from 0; IndexError unless
-        0 <= k < len(self)."""
-        if not 0 <= k < self._size:
-            raise IndexError(f"rank {k} out of range [0, {self._size})")
-        # descend the Fenwick tree to the last block start at or below k
+    def _locate(self, k):
+        """(block index, offset in it) of the rank k, 0 <= k < len(self):
+        one descent of the Fenwick tree to the last block start at or
+        below k."""
         fen = self._fen
         n = len(fen)
         i, step = 0, 1 << ((n - 1).bit_length() - 1)
@@ -213,6 +213,14 @@ class CountedOrderedSet:
                 i = j
                 k -= fen[j]
             step >>= 1
+        return i, k
+
+    def select(self, k):
+        """The stored key of rank k, counting from 0; IndexError unless
+        0 <= k < len(self)."""
+        if not 0 <= k < self._size:
+            raise IndexError(f"rank {k} out of range [0, {self._size})")
+        i, k = self._locate(k)
         return self._blocks[i][k]
 
     def predecessor(self, key):
@@ -249,6 +257,17 @@ class CountedOrderedSet:
             i, start = 0, 0
         else:
             start = bisect_left(self._blocks[i], key)
+        return self._run(i, start, count)
+
+    def values_at(self, k, count) -> array:
+        """Values of the count stored keys from the rank k on, in key
+        order, as one ``array('q')``; k + count is at most len(self)."""
+        if not count:
+            return array("q")
+        return self._run(*self._locate(k), count)
+
+    def _run(self, i, start, count) -> array:
+        # count values from block i's offset start on, joined by copies
         vals = self._vals
         out = vals[i][start : start + count]
         while len(out) < count:

@@ -26,9 +26,11 @@ records are its children's records merged.
 A rectangle query splits [x_lo, x_hi] into O(lg n) canonical x-pieces.
 The slices of all light pieces and the leaf pieces join, by memory
 copies, with the ids each heavy piece's sub-index collects
-(``MajorityIndex._collect``): all of its window's ids when the window
-holds at most ``prune_cutoff`` points, else those of the window's
-points outside its maximal listed nodes. The joined ``array('q')`` and
+(``MajorityIndex._collect``, which turns the piece's (y, x) bounds into
+a window of ranks in the sub-index's point set with two rank
+operations): all of its window's ids when the window holds at most
+``prune_cutoff`` points, else those of the window's points outside its
+maximal listed nodes. The joined ``array('q')`` and
 the heavy pieces' listed nodes go to the 1-D queries' finish,
 ``tree.answer``, once. With no listed node, one count of the joined ids
 answers. Otherwise a colour is a candidate only when it holds more than

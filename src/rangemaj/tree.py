@@ -33,18 +33,21 @@ per-colour sets from sorted runs, then groups each level greedily into
 parents and counts each heavy node's list from its slice of the ids,
 with the cyclic garbage collector paused.
 
-A query snaps its endpoints to stored coordinates and counts the m
-points between them. One collector, ``_collect``, then takes one of two
-paths:
+A query works in one coordinate system, ranks in ``F``: its window is
+the ranks [r, r + m), with r the points below lo and r + m the points
+at or below hi, two rank operations of ``F`` (``_collect``); the
+positional array hands its window of positions over as it is. One
+rank-level collector, ``_collect_ranks``, then takes one of two paths:
 
 - ``pruned``: m is at most ``prune_cutoff``, the most a light node
   holds, so the ids are the window's slice of F's column;
 - ``general``: one walk from the root (``_accumulate``) splits the
   window into its maximal listed nodes, whose lists the tally reads,
-  and the gaps between them, each one slice of F's column. It descends
-  only listed nodes that straddle an edge, so an exact cover of a
-  listed node is that node alone, and every point of the window lies in
-  a listed node or in the ids.
+  and the gaps between them, each one slice of F's column. It carries
+  each node's offset, so it compares no coordinate and counts nothing
+  in ``F``, and it descends only listed nodes that straddle an edge: an
+  exact cover of a listed node is that node alone, and every point of
+  the window lies in a listed node or in the ids.
 
 One finish, ``answer``, serves every 1-D and planar query. When no node
 is listed, the ids are the whole window and one count of them answers.
@@ -706,7 +709,9 @@ class MajorityIndex:
     # ---- range machinery ----
 
     def snap(self, lo, hi):
-        """Nearest stored coordinates inside [lo, hi], or None if empty."""
+        """Nearest stored coordinates inside [lo, hi], or None if empty.
+        No query calls it: a query's window is ranks (``_collect``); the
+        lemma auditor and tests name the snapped range by it."""
         if self.root is None:
             return None
         a = self.F.successor(lo)
@@ -780,46 +785,54 @@ class MajorityIndex:
         return groups[:top], len(groups) > top
 
     def _accumulate(self, a, b):
-        """The maximal listed nodes inside the snapped range [a, b], left
-        to right, and the colour ids of its other points, in order, as one
-        array('q').
+        """The maximal listed nodes inside the window of ranks [a, b),
+        left to right, and the colour ids of its other points, in order,
+        as one array('q').
 
-        One walk from the root: a listed node that straddles an edge is
-        descended, an unlisted one (light node or leaf) never is. The
-        window's points between two listed nodes are adjacent in F, so
-        each such gap is one slice; only an unlisted node clipped by an
-        edge, at most one per edge, is sized by a count of F.
+        One walk from the root that carries each node's offset, the rank
+        of its first point: a listed node that straddles an edge is
+        descended, an unlisted one (light node or leaf) never is, and its
+        overlap with the window is plain arithmetic. The window's points
+        between two listed nodes are adjacent in F, so each such gap is
+        one slice of F's column.
         """
         listed = []
         ids = array("q")  # gap slices join by memory copies
-        start = w = 0  # the open gap: its first key and its point count
-        stack = [self.root]
-        while stack:
-            v = stack.pop()
-            lo, hi = v.min_leaf.coord, v.max_leaf.coord
-            if hi < a or lo > b:
-                continue
-            inside = a <= lo and hi <= b
+        start = w = 0  # the open gap: its first rank and its point count
+        nodes, offs = [self.root], [0]  # offsets parallel to the nodes
+        while nodes:
+            v = nodes.pop()
+            o = offs.pop()
+            e = o + v.weight
             if v.cand is None:
                 if not w:
-                    start = max(a, lo)
-                w += v.weight if inside else self.F.count_range(max(a, lo), min(b, hi))
-            elif inside:
+                    start = max(a, o)
+                w += min(b, e) - max(a, o)
+            elif a <= o and e <= b:
                 if w:
                     ids += self.scan_pruned(start, w)
                     w = 0
                 listed.append(v)
             else:
-                stack.extend(reversed(v.children))
+                # the children that overlap the window, pushed right to
+                # left so that they pop in order
+                for c in reversed(v.children):
+                    o = e - c.weight
+                    if o < b:
+                        if e <= a:
+                            break
+                        nodes.append(c)
+                        offs.append(o)
+                    e = o
         if w:
             ids += self.scan_pruned(start, w)
         return listed, ids
 
-    def scan_pruned(self, a, m) -> array:
-        """Colour ids of the m points from the stored key a on, in order:
-        a slice of F's column."""
+    def scan_pruned(self, r, m) -> array:
+        """Colour ids of the m points from the rank r on, in order: a
+        slice of F's column."""
         self.stats["pruned_leaf_visits"] += m
-        return self.F.values_from(a, m)
+        return self.F.values_at(r, m)
 
     # ---- queries ----
 
@@ -850,21 +863,23 @@ class MajorityIndex:
     def _collect(self, lo, hi):
         """(m, listed, ids) for [lo, hi]: the range's point count, its
         listed nodes and the joined colour ids of its other points;
-        ``answer`` finishes them.
-
-        A range of at most ``prune_cutoff`` points is one slice of ids.
-        Any other range is split by ``_accumulate``'s walk. The planar
-        index merges these across several sub-indexes before it finishes
-        them.
+        ``answer`` finishes them. The range is the window of the m ranks
+        from r = F.rank_lt(lo) on, which ``_collect_ranks`` splits. The
+        planar index merges these across several sub-indexes before it
+        finishes them.
         """
-        snapped = self.snap(lo, hi)
-        if snapped is None:
+        r = self.F.rank_lt(lo)
+        return self._collect_ranks(r, self.F.rank_le(hi) - r)
+
+    def _collect_ranks(self, r, m):
+        """(m, listed, ids) for the window of the m ranks from r on: empty
+        when m <= 0, one slice of ids when m is at most ``prune_cutoff``,
+        else split by ``_accumulate``'s walk."""
+        if m <= 0:
             return 0, [], array("q")
-        a, b = snapped
-        m = self.F.count_range(a, b)
         if m <= self.prune_cutoff:
-            return m, [], self.scan_pruned(a, m)
-        listed, ids = self._accumulate(a, b)
+            return m, [], self.scan_pruned(r, m)
+        listed, ids = self._accumulate(r, r + m)
         return m, listed, ids
 
     # ---- debug audits ----

@@ -1,10 +1,14 @@
 """Shared fixtures for the test suite."""
 
 import os
+from collections import Counter
+from contextlib import ExitStack, contextmanager
+from unittest import mock
 
 import pytest
 
 import rangemaj
+from rangemaj.counted_set import CountedOrderedSet
 
 
 @pytest.fixture
@@ -27,3 +31,34 @@ def child_env():
         return env
 
     return build
+
+
+@pytest.fixture
+def set_calls():
+    """Count the calls of CountedOrderedSet methods on one set.
+
+    ``with set_calls(cs, "select", ...) as calls`` patches the named
+    methods for every set and yields a function that returns a Counter
+    of the calls made on cs alone since it was last read.
+    """
+
+    @contextmanager
+    def spy(cs, *names):
+        with ExitStack() as stack:
+            mocks = {
+                name: stack.enter_context(mock.patch.object(
+                    CountedOrderedSet, name, autospec=True,
+                    side_effect=getattr(CountedOrderedSet, name)))
+                for name in names
+            }
+
+            def calls():
+                got = Counter()
+                for name, m in mocks.items():
+                    got[name] = sum(c.args[0] is cs for c in m.call_args_list)
+                    m.reset_mock()
+                return got
+
+            yield calls
+
+    return spy

@@ -6,6 +6,8 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+from unittest import mock
+
 import pytest
 
 from rangemaj.colour_array import UNIVERSE, DynamicColourArray
@@ -125,6 +127,56 @@ class TestBounds:
             arr.get(True)
         with pytest.raises(IndexError):
             arr.insert(1.0, "b")
+
+
+class TestRankWindow:
+    """Positions are ranks in the engine's F: a query hands its window
+    over as it is, and reads the two end labels only to count a short
+    survivor."""
+
+    def test_query_reads_end_labels_only_for_short_survivors(self, set_calls):
+        # x fills the left half only, so a window across the middle holds
+        # listed nodes that do not track it: x survives short there
+        alpha = Fraction(1, 4)
+        rng = random.Random(4)
+        items = ["x"] * 1500 + ["y%d" % rng.randrange(6) for _ in range(1500)]
+        arr = DynamicColourArray.from_colours(items, alpha)
+        for _ in range(300):
+            i = rng.randrange(1, len(items) + 1)
+            arr.modify(i, items[i - 1])  # edits age the lists
+        names = ("successor", "predecessor", "count_range", "select")
+        short = plain = 0
+        with set_calls(arr.engine.F, *names) as calls, \
+                mock.patch.object(MajorityIndex, "_colour_counts", autospec=True,
+                                  side_effect=MajorityIndex._colour_counts) as exact:
+            for _ in range(400):
+                i = rng.randrange(1, len(items) + 1)
+                j = min(len(items), i + int(10 ** rng.uniform(0, 3.5)))
+                assert arr.query_counts(i, j) == naive_counts(items[i - 1 : j], alpha)
+                verified = exact.call_count
+                exact.reset_mock()
+                assert calls() == Counter(select=2 * verified)
+                short += verified
+                plain += not verified
+            # positions are checked before a reversed window is empty
+            assert arr.query_counts(j, j - 1) == {}
+            with pytest.raises(IndexError):
+                arr.query_counts(len(items) + 1, 1)
+            with pytest.raises(IndexError):
+                arr.query_counts(2, 0)
+            assert calls() == Counter() and not exact.called
+        assert short > 10 and plain > 10
+
+    def test_get_reads_one_rank(self, set_calls):
+        items = ["c%d" % (i % 7) for i in range(1200)]
+        arr = DynamicColourArray.from_colours(items, Fraction(1, 3))
+        with set_calls(arr.engine.F, "select", "values_from", "values_at") as calls:
+            assert [arr.get(i) for i in range(1, 1201)] == items
+            assert calls() == Counter(values_at=1200)
+            for i in (0, 1201, True):
+                with pytest.raises(IndexError):
+                    arr.get(i)
+            assert calls() == Counter()
 
 
 class TestLabeling:

@@ -3,6 +3,7 @@
 import random
 from array import array
 from bisect import bisect_left, bisect_right, insort
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -515,6 +516,23 @@ def check_select(cs):
     for k in (-1, len(ref)):
         with pytest.raises(IndexError):
             cs.select(k)
+    if cs._vals is not None:
+        check_values_at(cs)
+
+
+def check_values_at(cs):
+    """values_at(k, count) is the run values_from gives from the key of
+    rank k: for every k, runs of 0 and 1 values, runs that end just past
+    the next block boundary, and runs to the end."""
+    n = len(cs)
+    starts = list(accumulate(len(b) for b in cs._blocks))
+    for k in range(n):
+        edge = starts[bisect_right(starts, k)]  # the end of k's block
+        for count in {0, 1, min(edge - k + 1, n - k), n - k}:
+            run = cs.values_at(k, count)
+            assert type(run) is array and run.typecode == "q"
+            assert run == cs.values_from(cs.select(k), count)
+    assert cs.values_at(n, 0) == array("q")
 
 
 @pytest.mark.parametrize("with_column", [False, True], ids=["plain", "column"])
@@ -564,3 +582,19 @@ def test_select_after_forced_splits_and_merges(with_column):
     check_select(cs)
     assert cs.select(len(cs) - 1) == 3 * SPLIT_AT - 8
     check_select(CountedOrderedSet())
+
+
+def test_select_keeps_its_index_error():
+    # the descent select shares with values_at is reached only in range
+    keys = list(range(0, 6 * TARGET_BLOCK, 3))
+    cs = CountedOrderedSet()
+    cs.load_sorted(keys, [value_of(k) for k in keys])
+    assert cs.select(0) == keys[0] and cs.select(len(keys) - 1) == keys[-1]
+    for k in (-1, -len(keys), len(keys), len(keys) + TARGET_BLOCK):
+        with pytest.raises(IndexError, match="out of range"):
+            cs.select(k)
+    empty = CountedOrderedSet()
+    empty.load_sorted((), ())
+    with pytest.raises(IndexError, match="out of range"):
+        empty.select(0)
+    assert empty.values_at(0, 0) == array("q")

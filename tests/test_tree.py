@@ -35,8 +35,8 @@ def query_spy():
     query makes once. Yields a list that gains one dict per query: its
     point count "m", its "mode" ("empty", "pruned" or "general") and the
     survivors it "drained" as (colour id, tally) pairs; a general query
-    adds its "snapped" range, its "listed" nodes and the other points'
-    colour "ids"."""
+    adds its "window" of ranks [r, r + m) as (r, r + m), its "listed"
+    nodes and the other points' colour "ids"."""
     queries, walks = [], []
     orig_walk, orig_answer = MajorityIndex._accumulate, tree.answer
 
@@ -50,9 +50,9 @@ def query_spy():
         record = {"m": m, "mode": "pruned" if m else "empty",
                   "drained": list(tallies.items())}
         if walks:
-            (snapped, listed, ids), = walks
+            (window, listed, ids), = walks
             walks.clear()
-            record.update(mode="general", snapped=snapped, listed=listed, ids=ids)
+            record.update(mode="general", window=window, listed=listed, ids=ids)
         queries.append(record)
         return out, tallies
 
@@ -759,29 +759,34 @@ class TestWalk:
             idx.delete(x)
             if rng.random() < 0.7:
                 idx.insert(x, "c%d" % rng.randrange(5))
-        live = [x for x, _ in idx.F.items()]
-        i = data.draw(st.integers(min_value=0, max_value=len(live) - 1))
-        j = data.draw(st.integers(min_value=i, max_value=len(live) - 1))
-        a, b = live[i], live[j]
+        size = len(idx.F)
+        i = data.draw(st.integers(min_value=0, max_value=size - 1))
+        j = data.draw(st.integers(min_value=i, max_value=size - 1))
         m = j - i + 1
-        listed, ids = idx._accumulate(a, b)
-        prev = None
+        listed, ids = idx._accumulate(i, j + 1)
+
+        def ranks(v):  # the ranks [first, end) of v's points
+            first = idx.F.rank_lt(v.min_leaf.coord)
+            return first, first + v.weight
+
+        prev = 0
         for v in listed:
-            # a list, inside [a, b], after the node before it
+            # a list, inside the ranks [i, j + 1), after the node before it
             assert v.cand is not None
-            assert a <= v.min_leaf.coord and v.max_leaf.coord <= b
-            assert prev is None or prev.max_leaf.coord < v.min_leaf.coord
-            prev = v
+            first, end = ranks(v)
+            assert i <= first and end <= j + 1
+            assert prev <= first
+            prev = end
             # maximal: its parent is not inside the window
             up = v.parent
-            assert up is None or up.min_leaf.coord < a or up.max_leaf.coord > b
+            assert up is None or ranks(up)[0] < i or ranks(up)[1] > j + 1
         assert len(ids) + sum(v.weight for v in listed) == m
         # ids are the window's column without the listed nodes' runs
         covered = set()
         for v in listed:
-            first = idx.F.rank_lt(v.min_leaf.coord) - i
+            first = ranks(v)[0] - i
             covered.update(range(first, first + v.weight))
-        col = idx.F.values_from(a, m)
+        col = idx.F.values_from(idx.F.select(i), m)
         assert ids == array("q", (c for r, c in enumerate(col) if r not in covered))
 
     @pytest.mark.parametrize("alpha", ["1/2", "1/4", "1/10", "1/100"])
@@ -837,6 +842,27 @@ class TestWalk:
                 query_spy() as queries:
             d.run(3000)
         assert sum(dbg["mode"] == "general" for dbg in queries) > 100
+
+
+class TestRankWindow:
+    """A query's window is ranks in F: two rank operations of F set it,
+    and nothing else on the query path searches or counts F."""
+
+    def test_query_makes_two_rank_calls_of_f(self, set_calls):
+        idx, store = drifting_index(seed=7, n=6000, alpha="1/10", churn=500)
+        rng = random.Random(8)
+        modes = Counter()
+        names = ("successor", "predecessor", "count_range", "rank_lt", "rank_le", "select")
+        with set_calls(idx.F, *names) as calls, query_spy() as queries:
+            for _ in range(300):
+                lo = rng.randrange(-1000, 121_000)
+                hi = lo + int(10 ** rng.uniform(0, 5)) - 2
+                got = idx.query_counts(lo, hi)
+                m, counts = store.counts(lo, hi)
+                assert got == {lab: f for lab, f in counts.items() if 10 * f > m}
+                assert calls() == Counter(rank_lt=1, rank_le=1)
+                modes[queries[-1]["mode"]] += 1
+        assert min(modes["empty"], modes["pruned"], modes["general"]) > 10
 
 
 class TestScanPruned:
@@ -1051,8 +1077,9 @@ class TestOracleEquivalence:
 def unlisted_tally(idx, dbg) -> Counter:
     """The colours of the general query dbg's points outside its listed
     nodes, read from F."""
-    a, _ = dbg["snapped"]
-    out = Counter(idx.F.values_from(a, dbg["m"]))
+    r, e = dbg["window"]
+    assert e - r == dbg["m"]
+    out = Counter(idx.F.values_at(r, dbg["m"]))
     for v in dbg["listed"]:
         out.subtract(idx.F.values_from(v.min_leaf.coord, v.weight))
     return +out
