@@ -211,7 +211,7 @@ def _window(obj, mode: str, bounds, where: str = "") -> tuple[dict, int]:
             m = max(j - i + 1, 0)
         elif mode == "2d":
             m = obj.rect_count(*bounds)
-        else:  # counted on the bounds the query snaps to
+        else:  # the stored keys in [lo, hi], counted in F
             lo, hi = obj._query_bound(bounds[0], "lo"), obj._query_bound(bounds[1], "hi")
             m = obj.F.count_range(lo, hi)
     except (ValueError, TypeError, IndexError) as exc:

@@ -3,10 +3,10 @@
 FuzzDriver interleaves inserts, deletes and queries from a seeded
 generator, checks every query answer (labels and exact counts) against
 NaiveStore, and optionally re-derives the per-query mass bounds of the
-paper's analysis. The auditor works out a query's snapped range and
-point count as the query does, and the paper's top height groups from
-the index itself, so the query path keeps no record for it. Used by the
-test suite, the CLI selftest and the acceptance gate.
+paper's analysis. The auditor works out a query's window of ranks as
+the query does, and the paper's top height groups of the window's first
+to last key from the index itself, so the query path keeps no record
+for it. Used by the test suite, the CLI selftest and the acceptance gate.
 """
 
 from __future__ import annotations
@@ -26,9 +26,9 @@ class LemmaAuditor:
     """Post-query re-derivation of the three mass bounds behind the
     candidate-filtering scheme.
 
-    A query is general when its snapped range holds more than the
-    index's ``prune_cutoff`` points. After a general query, with I the
-    canonical node set of the snapped range and m its point count:
+    A query is general when its window holds more than the index's
+    ``prune_cutoff`` points. After a general query, with I the canonical
+    node set of the window's range of stored keys and m its point count:
 
     * level masses: grouping the internal nodes of I by height, the
       j-th highest group carries at most m points for j = 1 and
@@ -52,13 +52,12 @@ class LemmaAuditor:
     def check(self, lo, hi) -> bool:
         """Audit the query [lo, hi] if it is general; return whether it was."""
         idx = self.index
-        snapped = idx.snap(idx._query_bound(lo, "lo"), idx._query_bound(hi, "hi"))
-        if snapped is None:
-            return False
-        a, b = snapped
-        m = idx.F.count_range(a, b)
+        # the window of m ranks from r on, as _collect names it
+        r = idx.F.rank_lt(idx._query_bound(lo, "lo"))
+        m = idx.F.rank_le(idx._query_bound(hi, "hi")) - r
         if m <= idx.prune_cutoff:
             return False
+        a, b = idx.F.select(r), idx.F.select(r + m - 1)
         groups, _ = idx._top_groups(a, b)
         p, q = idx._ap, idx._aq
 

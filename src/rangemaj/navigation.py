@@ -1,7 +1,8 @@
 """Leaf navigation over the majority tree: stride ancestor links, LCA,
 and discovery of the top height levels of a range's canonical set.
 
-Every node caches a link to an ancestor roughly sqrt(lg n) levels up.
+A node's stride link, to an ancestor about sqrt(lg n) levels up, lives
+in this module's table, one dict per index that dies with the index.
 Links are validated on read (the target must still be attached to the
 tree, and its range must contain the node's range) and recomputed lazily
 when stale, so restructures never have to chase incoming links. A node
@@ -20,6 +21,9 @@ checks against that decomposition.
 from __future__ import annotations
 
 import math
+import weakref
+
+_links = weakref.WeakKeyDictionary()  # index -> {node: its stride link}
 
 
 def ell_for(n: int) -> int:
@@ -35,14 +39,14 @@ def _attached(index, v) -> bool:
 
 
 def _trusted_anc(index, node):
-    """node's cached stride link when it may be trusted, else None.
+    """node's stride link in the table when it may be trusted, else None.
 
     A target is trusted iff it is attached, higher than node, and its
     range contains node's range: subtree ranges form a laminar family
     over distinct coordinates, so range containment by an attached node
     proves ancestry.
     """
-    a = node.anc
+    a = _links.get(index, {}).get(node)
     if (
         a is not None
         and a.height > node.height
@@ -55,7 +59,7 @@ def _trusted_anc(index, node):
 
 
 def resolve_anc(index, node, ell: int):
-    """The cached stride ancestor, revalidated; recomputed when stale."""
+    """The stride link in the table, revalidated; recomputed when stale."""
     a = _trusted_anc(index, node)
     if a is not None:
         return a
@@ -64,7 +68,12 @@ def resolve_anc(index, node, ell: int):
         if t.parent is None:
             break
         t = t.parent
-    node.anc = t
+    links = _links.setdefault(index, {})
+    if len(links) > 4 * len(index.F):
+        # at most 2n nodes are attached: drop the links of detached ones
+        for v in [v for v in links if not _attached(index, v)]:
+            del links[v]
+    links[node] = t
     return t
 
 
@@ -73,11 +82,9 @@ def lca(index, wa, wb):
 
     Stride-jumps from wa until the jumped-to node covers wb's
     coordinate, then walks parent-by-parent from the last node that did
-    not; counted in index.stats["lca_calls"].
-    """
+    not."""
     if wa is wb:
         raise ValueError("lca requires two distinct leaves")
-    index.stats["lca_calls"] += 1
     xb = wb.coord
     ell = ell_for(len(index.F))
     v = wa
@@ -97,9 +104,10 @@ def findtop(index, wa, wb, z: int):
 
     Each stack frame resolves one LCA; emitting full children consumes
     one unit of the branch's level budget, and exhausted branches are
-    dropped, which only ever discards heights below the kept ones.
+    dropped, which only ever discards heights below the kept ones. The
+    number of LCAs resolved goes to index.stats["last_findtop_lca_calls"].
     """
-    before = index.stats["lca_calls"]
+    calls = 0
     collected = []
     stack = [(wa, wb, z)]
     while stack:
@@ -110,6 +118,7 @@ def findtop(index, wa, wb, z: int):
             collected.append(a)
             continue
         w = lca(index, a, b)
+        calls += 1
         if w.min_leaf is a and w.max_leaf is b:
             collected.append(w)
             continue
@@ -142,7 +151,7 @@ def findtop(index, wa, wb, z: int):
                     collected.append(b)
                 else:
                     stack.append((ch[k].min_leaf, b, budget))
-    index.stats["last_findtop_lca_calls"] = index.stats["lca_calls"] - before
+    index.stats["last_findtop_lca_calls"] = calls
 
     heights = sorted({n.height for n in collected}, reverse=True)[:z]
     keep = set(heights)
@@ -169,7 +178,7 @@ def audit_links(index, nodes, ell: int | None = None) -> None:
                     break
                 t = t.parent
             assert seen, "validated stride link is not an ancestor"
-        node.anc = None
+        _links.get(index, {}).pop(node, None)
         got = resolve_anc(index, node, ell)
         t = node
         for _ in range(ell):

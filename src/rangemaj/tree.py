@@ -12,8 +12,8 @@ light nodes are scanned directly.
 
 The point set ``F`` carries each point's colour id in its numeric
 column, in coordinate order, and is the one record of it: a leaf holds
-only its coordinate, and a node's colours are the ``weight`` entries of
-that column from the node's first coordinate on, read as one
+only its coordinate and parent, and a node's colours are the ``weight``
+entries of that column from the node's first coordinate on, read as one
 ``array('q')``. A list rebuild therefore costs one lookup of that key in
 ``F`` plus a numpy count of the slice (``top_colours``), linear in the
 node's weight, that touches no leaf object: ``bincount`` while the
@@ -61,8 +61,9 @@ The paper reads only the top O(lg(1/alpha)) height groups of the
 canonical decomposition and verifies candidates by exact counts.
 ``_decompose_all``, ``group_by_height`` and ``_top_groups`` keep that
 decomposition, and ``navigation`` the stride-link search for its top
-levels, as a reproduction that criteria 2 and 6 check; neither is on
-the query path. Every key kind takes the same paths.
+levels with its own table of links, as a reproduction that criteria 2
+and 6 check; neither is on the query path. Every key kind takes the
+same paths.
 """
 
 from __future__ import annotations
@@ -237,7 +238,9 @@ def group_by_height(nodes):
 
 
 class _Leaf:
-    __slots__ = ("coord", "parent", "anc", "min_leaf", "max_leaf")
+    """A point's coordinate and parent; it is its own first and last leaf."""
+
+    __slots__ = ("coord", "parent")
 
     height = 0
     weight = 1
@@ -247,16 +250,14 @@ class _Leaf:
     def __init__(self, coord):
         self.coord = coord
         self.parent = None
-        self.anc = None
-        self.min_leaf = self
-        self.max_leaf = self
+
+    min_leaf = max_leaf = property(lambda self: self)
 
 
 class _Node:
     __slots__ = (
         "children",
         "parent",
-        "anc",
         "height",
         "weight",
         "min_leaf",
@@ -270,7 +271,6 @@ class _Node:
     def __init__(self, height):
         self.children = []
         self.parent = None
-        self.anc = None
         self.height = height
         self.weight = 0
         self.min_leaf = None
@@ -304,8 +304,6 @@ class MajorityIndex:
         self.per_colour: dict = {}
         self.root = None
         self.stats = {
-            "lca_calls": 0,
-            "last_findtop_lca_calls": 0,
             "rebuild_leaf_work": 0,
             "list_rebuilds": 0,
             "splits": 0,
@@ -708,19 +706,8 @@ class MajorityIndex:
 
     # ---- range machinery ----
 
-    def snap(self, lo, hi):
-        """Nearest stored coordinates inside [lo, hi], or None if empty.
-        No query calls it: a query's window is ranks (``_collect``); the
-        lemma auditor and tests name the snapped range by it."""
-        if self.root is None:
-            return None
-        a = self.F.successor(lo)
-        if a is None or a > hi:
-            return None
-        return a, self.F.predecessor(hi)
-
     def _cover_node(self, a, b):
-        # deepest node whose range contains the snapped range [a, b]
+        # deepest node whose range contains [a, b], two stored keys
         v = self.root
         while v.height:
             down = None
@@ -735,12 +722,12 @@ class MajorityIndex:
         return v
 
     def _find_leaf(self, x):
+        """The leaf that stores x (KeyError(x) when x is not stored)."""
         v = self.root
-        while v.height:
-            for c in v.children:
-                if c.max_leaf.coord >= x:
-                    v = c
-                    break
+        while v is not None and v.height:
+            v = next((c for c in v.children if c.max_leaf.coord >= x), None)
+        if v is None or v.coord != x:
+            raise KeyError(x)
         return v
 
     def _decompose_all(self, a, b):
@@ -768,7 +755,7 @@ class MajorityIndex:
         return out
 
     def decompose(self, a, b):
-        """Canonical set of the snapped range [a, b]; requires a general
+        """Canonical set of [a, b], two stored keys; requires a general
         range (one spanning more than a single node)."""
         out = self._decompose_all(a, b)
         if len(out) < 2:

@@ -1,14 +1,16 @@
 """Tests for stride-ancestor links, LCA and top-level discovery."""
 
+import gc
 import math
 import random
+import weakref
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rangemaj import tree
+from rangemaj import navigation, tree
 from rangemaj.fuzz import FuzzDriver
 from rangemaj.navigation import _attached, audit_links, ell_for, findtop, lca, resolve_anc
 from rangemaj.oracle import naive_lca
@@ -51,7 +53,7 @@ class TestStride:
                 break
             t = t.parent
         assert a is t
-        assert leaf.anc is a
+        assert navigation._links[idx][leaf] is a
         # a second resolve trusts the cache
         assert resolve_anc(idx, leaf, ell) is a
 
@@ -68,10 +70,10 @@ class TestStride:
             bogus.parent = v.parent
             bogus.min_leaf, bogus.max_leaf = v.min_leaf, v.max_leaf
             assert not _attached(idx, bogus)
-            leaf.anc = bogus
+            navigation._links[idx][leaf] = bogus
             fresh = resolve_anc(idx, leaf, ell)
             assert fresh is real
-            assert leaf.anc is real
+            assert navigation._links[idx][leaf] is real
 
 
 class TestLCA:
@@ -159,10 +161,12 @@ class TestFindtop:
             lo = rng.randrange(0, 50000)
             hi = rng.randrange(lo, 50000)
             d.do_query(lo, hi)
-            snapped = idx.snap(lo, hi)
-            if snapped is not None and idx.F.count_range(*snapped) > idx.prune_cutoff:
-                # a general query's range: findtop against the decomposition
-                a, b = snapped
+            r = idx.F.rank_lt(lo)
+            m = idx.F.rank_le(hi) - r
+            if m > idx.prune_cutoff:
+                # a general query's window, named by its first and last
+                # keys: findtop against the decomposition
+                a, b = idx.F.select(r), idx.F.select(r + m - 1)
                 groups, _ = idx._top_groups(a, b)
                 wa, wb = idx._find_leaf(a), idx._find_leaf(b)
                 got = findtop(idx, wa, wb, t)
@@ -193,6 +197,49 @@ class TestLinkAudit:
         d.p_insert, d.p_delete = 0.1, 0.6
         d.run(2500)
         audit_links(d.index, list(d.index.internal_nodes()) + all_leaves(d.index))
+
+    def test_table_drops_detached_nodes(self):
+        idx = MajorityIndex.build([(i, "x") for i in range(1000)], "1/2")
+        every = list(idx.internal_nodes()) + all_leaves(idx)
+        for v in every:
+            resolve_anc(idx, v, ell_for(len(idx.F)))
+        assert len(navigation._links[idx]) == len(every)
+        for x in range(0, 1000, 10):
+            for y in range(x + 1, x + 10):
+                idx.delete(y)
+        nodes = list(idx.internal_nodes()) + all_leaves(idx)
+        for v in nodes:
+            resolve_anc(idx, v, ell_for(len(idx.F)))
+            assert len(navigation._links[idx]) <= 4 * len(idx.F) + 1
+        assert len(navigation._links[idx]) < len(every)
+        audit_links(idx, nodes)
+
+
+class TestNavigationState:
+    def test_index_without_navigation_holds_none(self):
+        idx = MajorityIndex.build([(i, "c%d" % (i % 7)) for i in range(3000)], "1/10")
+        for i in range(3000, 3600):
+            idx.insert(i, "c%d" % (i % 3))
+        for i in range(0, 3000, 3):
+            idx.delete(i)
+        for lo in range(0, 3600, 97):
+            idx.query_counts(lo, lo + 1500)
+        idx.relabel(4, [3])  # 3 was deleted
+        idx.audit_tree()
+        assert idx.F.count_range(3, 4) == 1
+        assert not [k for k in idx.stats if k.startswith("lca")]
+        assert not [k for k in MajorityIndex("1/2").stats if k.startswith("lca")]
+        assert idx not in navigation._links
+
+    def test_table_keeps_no_index_alive(self):
+        idx = MajorityIndex.build([(i, "x") for i in range(2000)], "1/4")
+        findtop(idx, idx._find_leaf(10), idx._find_leaf(1900), idx.cfg.top_count)
+        assert idx.stats["last_findtop_lca_calls"] >= 1
+        assert idx in navigation._links
+        ref = weakref.ref(idx)
+        del idx
+        gc.collect()
+        assert ref() is None
 
 
 class TestAttachment:

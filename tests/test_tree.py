@@ -2,6 +2,7 @@
 
 import gc
 import random
+import threading
 from array import array
 from collections import Counter
 from contextlib import contextmanager
@@ -169,24 +170,6 @@ class TestStrictness:
     def test_reversed_bounds_empty(self):
         idx = small_index()
         assert idx.query(3, 1) == set()
-
-
-class TestSnap:
-    def test_snap_interior(self):
-        idx = MajorityIndex.build([(1, "a"), (5, "b"), (9, "c")], "1/2")
-        assert idx.snap(2, 8) == (5, 5)
-
-    def test_snap_exact_endpoints(self):
-        idx = MajorityIndex.build([(1, "a"), (5, "b"), (9, "c")], "1/2")
-        assert idx.snap(1, 9) == (1, 9)
-
-    def test_snap_empty_gap(self):
-        idx = MajorityIndex.build([(1, "a"), (5, "b"), (9, "c")], "1/2")
-        assert idx.snap(6, 8) is None
-
-    def test_snap_overshoot_clamps(self):
-        idx = MajorityIndex.build([(1, "a"), (5, "b"), (9, "c")], "1/2")
-        assert idx.snap(-100, 100) == (1, 9)
 
 
 class TestUpdates:
@@ -863,6 +846,56 @@ class TestRankWindow:
                 assert calls() == Counter(rank_lt=1, rank_le=1)
                 modes[queries[-1]["mode"]] += 1
         assert min(modes["empty"], modes["pruned"], modes["general"]) > 10
+
+    @pytest.mark.parametrize("lo, hi, r, m", [
+        (2, 8, 1, 1),
+        (1, 9, 0, 3),
+        (6, 8, 2, 0),
+        (-100, 100, 0, 3),
+    ], ids=["interior", "exact_endpoints", "empty_gap", "overshoot"])
+    def test_three_point_window(self, lo, hi, r, m):
+        idx = MajorityIndex.build([(1, "a"), (5, "b"), (9, "c")], "1/2")
+        orig = MajorityIndex._collect_ranks
+        with mock.patch.object(MajorityIndex, "_collect_ranks", autospec=True,
+                               side_effect=orig) as spy:
+            got = idx._collect(lo, hi)
+        spy.assert_called_once_with(idx, r, m)
+        assert got == (m, [], idx.F.values_at(r, m))
+
+
+class TestFindLeaf:
+    def test_every_stored_key_and_no_other(self):
+        idx = MajorityIndex.build([(3 * i, "c") for i in range(100)], "1/10")
+        for i in range(100):
+            assert idx._find_leaf(3 * i).coord == 3 * i
+        for x in (-5, 1, 151, 296):
+            with pytest.raises(KeyError):
+                idx._find_leaf(x)
+
+    def test_key_above_the_largest_raises(self):
+        # it once looped forever there; a thread bounds the wait
+        idx = MajorityIndex.build([(i, "c") for i in range(100)], "1/2")
+        raised = []
+
+        def probe():
+            try:
+                idx._find_leaf(1000)
+            except KeyError:
+                raised.append(True)
+
+        t = threading.Thread(target=probe, daemon=True)
+        t.start()
+        t.join(10)
+        assert not t.is_alive() and raised
+
+    def test_empty_index_raises(self):
+        idx = MajorityIndex("1/2")
+        with pytest.raises(KeyError):
+            idx._find_leaf(0)
+        idx.insert(7, "c")
+        idx.delete(7)
+        with pytest.raises(KeyError):
+            idx._find_leaf(7)
 
 
 class TestScanPruned:
