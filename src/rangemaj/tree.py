@@ -41,21 +41,26 @@ rank-level collector, ``_collect_ranks``, then takes one of two paths:
 
 - ``pruned``: m is at most ``prune_cutoff``, the most a light node
   holds, so the ids are the window's slice of F's column;
-- ``general``: one walk from the root (``_accumulate``) splits the
-  window into its maximal listed nodes, whose lists the tally reads,
-  and the gaps between them, each one slice of F's column. It carries
-  each node's offset, so it compares no coordinate and counts nothing
-  in ``F``, and it descends only listed nodes that straddle an edge: an
-  exact cover of a listed node is that node alone, and every point of
-  the window lies in a listed node or in the ids.
+- ``general``: one in-order walk from the root (``_accumulate``) splits
+  the window into its maximal listed nodes, whose lists the tally reads,
+  and the maximal gaps between them, each one slice of F's column. It
+  carries each child's offset, so it compares no coordinate and counts
+  nothing in ``F``; it enters only listed children that straddle an
+  edge and stops at the first child past the window: an exact cover of
+  a listed node is that node alone, and every point of the window lies
+  in a listed node or in the ids.
 
 One finish, ``answer``, serves every 1-D and planar query. When no node
 is listed, the ids are the whole window and one count of them answers.
 Otherwise a colour is a candidate only when it holds more than alpha/4
-of some part's points, a part being one listed node or the ids; a
-candidate whose tally exceeds alpha*m/4 survives, and a survivor is
-verified by an exact count only when some listed node does not track
-it; otherwise its tally is its exact count.
+of some part's points, a part being one listed node or the ids. The
+candidates a listed node gives depend on its state alone, so the node
+keeps them as its ``head`` (``candidate_head``) from the first query
+that reads it until a write to its list, staleness or weight drops
+it. A candidate whose tally exceeds alpha*m/4 survives, and a survivor
+is verified by an exact count only when some listed node does not track
+it, which the tally notes as it reads the lists; otherwise its tally is
+its exact count.
 
 The paper reads only the top O(lg(1/alpha)) height groups of the
 canonical decomposition and verifies candidates by exact counts.
@@ -82,13 +87,7 @@ import numpy as np
 
 from .counted_set import CountedOrderedSet
 from .errors import DuplicateKeyError
-from .params import (
-    BRANCH,
-    AlphaConfig,
-    MAX_DEGREE,
-    MIN_DEGREE,
-    rebuild_threshold,
-)
+from .params import BRANCH, AlphaConfig, MAX_DEGREE, MIN_DEGREE
 from .registry import ColourRegistry
 
 INT_BOUND = 1 << 62
@@ -170,34 +169,56 @@ def answer(m, listed, ids, p, q, capacity, exact, *at):
     # later entry is at most the current count plus staleness: no entry
     # past the first with count + staleness <= floor(alpha*w/4) can
     # exceed it. For integer n, n > x/d exactly when n > x // d, so each
-    # test below is one integer compare.
+    # test is one integer compare. That scan, the node's head, depends on
+    # the node's state alone: the node keeps it until its next update
+    # drops it, and a read-only stream scans each list once.
     q4 = 4 * q
     over, count = count_ids(ids, capacity, p * len(ids) // q4)
     cands = set(over)
     for u in listed:
-        stop = p * u.weight // q4 - u.staleness
-        for c, n in u.cand.items():
-            if n <= stop:
-                break
-            cands.add(c)
+        head = u.head
+        if head is None:  # dropped by the node's last update, or never read
+            head = u.head = candidate_head(u, p, q)
+        cands.update(head)
     quarter = pm // q4  # floor(alpha*m/4)
     tallies = {}
+    # a tally is the exact count when every listed node tracks its
+    # colour, since tracked counts are exact; the other survivors are
+    # short and verified
+    short = []
     for c in cands:
         tally = count(c)
+        tracked = True
         for u in listed:
-            tally += u.cand.get(c, 0)
+            n = u.cand.get(c)
+            if n is None:
+                tracked = False
+            else:
+                tally += n
         if tally > quarter:
             tallies[c] = tally
+            if not tracked:
+                short.append(c)
     # tallies never exceed the true counts, which sum to m
     assert len(tallies) * p <= 4 * q, "survivor bound exceeded"
-    # a tally is the exact count when every listed node tracks its
-    # colour: tracked counts are exact
     counts = dict(tallies)
-    tracked = set(tallies).intersection(*[u.cand for u in listed])
-    short = [c for c in tallies if c not in tracked]
     if short:
         counts.update(zip(short, exact(short, *at)))
     return {c: f for c, f in counts.items() if q * f > pm}, tallies
+
+
+def candidate_head(u, p, q) -> list:
+    """The colours that a query at alpha = p/q takes from the listed
+    node u: its list's entries before the first one at most u's bar,
+    floor(alpha*w/4) - staleness. The bar depends on u's weight and
+    staleness alone, so the head holds until u's next update."""
+    stop = p * u.weight // (4 * q) - u.staleness
+    head = []
+    for c, n in u.cand.items():
+        if n <= stop:
+            break
+        head.append(c)
+    return head
 
 
 def top_colours(ids, k, capacity) -> dict:
@@ -266,6 +287,7 @@ class _Node:
         "staleness",
         "rebuild_at",
         "rebuild_serial",
+        "head",
     )
 
     def __init__(self, height):
@@ -279,6 +301,7 @@ class _Node:
         self.staleness = 0
         self.rebuild_at = 0
         self.rebuild_serial = 0
+        self.head = None  # candidate_head, kept by answer
 
 
 class MajorityIndex:
@@ -297,6 +320,11 @@ class MajorityIndex:
         self.key_kind = key_kind
         self._ap = self.cfg.alpha.numerator
         self._aq = self.cfg.alpha.denominator
+        # a list's rebuild budget, rebuild_threshold's ceil(beta*w/2), as
+        # ceil(w*bn / bd2) in integers: rebuild_threshold validates and
+        # compares Fractions on every call
+        self._bn = self.cfg.beta.numerator
+        self._bd2 = 2 * self.cfg.beta.denominator
         self.prune_cutoff = 2 * self.cfg.list_size
         self.registry = registry if registry is not None else ColourRegistry()
         self.F = CountedOrderedSet()
@@ -439,18 +467,17 @@ class MajorityIndex:
         self.root.parent = None
 
     def _bulk_list(self, node, seg) -> None:
+        """Give node a fresh list, counted from seg, its colour ids."""
         node.cand = top_colours(seg, self.cfg.list_size, self.registry.capacity)
         node.staleness = 0
-        node.rebuild_at = rebuild_threshold(node.weight, self.cfg.beta)
+        node.rebuild_at = -(-node.weight * self._bn // self._bd2)
+        node.head = None
 
     # ---- candidate lists ----
 
     def rebuild_list(self, v) -> None:
         """Recompute C(v) exactly from v's slice of F's colour column."""
-        ids = np.frombuffer(self.F.values_from(v.min_leaf.coord, v.weight), np.int64)
-        v.cand = top_colours(ids, self.cfg.list_size, self.registry.capacity)
-        v.staleness = 0
-        v.rebuild_at = rebuild_threshold(v.weight, self.cfg.beta)
+        self._bulk_list(v, np.frombuffer(self.F.values_from(v.min_leaf.coord, v.weight), np.int64))
         v.rebuild_serial += 1
         self.stats["list_rebuilds"] += 1
         self.stats["rebuild_leaf_work"] += v.weight
@@ -466,6 +493,7 @@ class MajorityIndex:
         if c is not None:
             v.cand[cid] = c + 1
         v.staleness += 1
+        v.head = None
         if v.staleness >= v.rebuild_at:
             self.rebuild_list(v)
 
@@ -473,7 +501,7 @@ class MajorityIndex:
         if v.cand is None:
             return
         if v.weight <= self.prune_cutoff:
-            v.cand = None
+            v.cand = v.head = None
             return
         c = v.cand.get(cid)
         if c is not None:
@@ -483,6 +511,7 @@ class MajorityIndex:
             else:
                 v.cand[cid] = c - 1
         v.staleness += 1
+        v.head = None
         if v.staleness >= v.rebuild_at:
             self.rebuild_list(v)
 
@@ -703,6 +732,7 @@ class MajorityIndex:
             if u.cand is not None:
                 # stale entries of fully-deleted colours are dropped
                 u.cand = {mapping[c]: n for c, n in u.cand.items() if c in mapping}
+                u.head = None
 
     # ---- range machinery ----
 
@@ -776,22 +806,35 @@ class MajorityIndex:
         left to right, and the colour ids of its other points, in order,
         as one array('q').
 
-        One walk from the root that carries each node's offset, the rank
-        of its first point: a listed node that straddles an edge is
-        descended, an unlisted one (light node or leaf) never is, and its
-        overlap with the window is plain arithmetic. The window's points
-        between two listed nodes are adjacent in F, so each such gap is
-        one slice of F's column.
+        One in-order walk from the root that carries each child's offset,
+        the rank of its first point, and enters a child only when it is
+        listed and straddles an edge. A child left of the window is
+        skipped and the first one past it ends the walk; an unlisted one
+        (light node or leaf) lengthens the open gap by its overlap, plain
+        arithmetic, and a listed one inside the window closes the gap.
+        The window's points between two listed nodes are adjacent in F,
+        so each maximal gap is one slice of F's column.
         """
         listed = []
         ids = array("q")  # gap slices join by memory copies
         start = w = 0  # the open gap: its first rank and its point count
-        nodes, offs = [self.root], [0]  # offsets parallel to the nodes
-        while nodes:
-            v = nodes.pop()
-            o = offs.pop()
-            e = o + v.weight
-            if v.cand is None:
+        stack = []  # frames (children, next index, offset) to resume
+        kids, i, o = [self.root], 0, 0  # o is the offset of kids[i]
+        while True:
+            if i == len(kids):
+                if not stack:
+                    break
+                kids, i, o = stack.pop()
+                continue
+            c = kids[i]
+            e = o + c.weight
+            if e <= a:  # left of the window
+                i += 1
+                o = e
+                continue
+            if o >= b:  # past the window: so is every later child
+                break
+            if c.cand is None:
                 if not w:
                     start = max(a, o)
                 w += min(b, e) - max(a, o)
@@ -799,18 +842,13 @@ class MajorityIndex:
                 if w:
                     ids += self.scan_pruned(start, w)
                     w = 0
-                listed.append(v)
+                listed.append(c)
             else:
-                # the children that overlap the window, pushed right to
-                # left so that they pop in order
-                for c in reversed(v.children):
-                    o = e - c.weight
-                    if o < b:
-                        if e <= a:
-                            break
-                        nodes.append(c)
-                        offs.append(o)
-                    e = o
+                stack.append((kids, i + 1, e))
+                kids, i = c.children, 0
+                continue
+            i += 1
+            o = e
         if w:
             ids += self.scan_pruned(start, w)
         return listed, ids
@@ -921,6 +959,9 @@ class MajorityIndex:
                 assert v.weight > self.prune_cutoff
                 assert len(v.cand) <= k_store
                 assert v.staleness < v.rebuild_at
+                assert v.head is None or v.head == candidate_head(v, self._ap, self._aq), (
+                    "candidate head out of step with the list"
+                )
                 for cid, cnt in v.cand.items():
                     self.registry.label_of(cid)
                     assert 1 <= cnt <= v.weight
@@ -943,6 +984,7 @@ class MajorityIndex:
                         )
             else:
                 assert v.weight <= self.prune_cutoff
+                assert v.head is None, "candidate head without a list"
             return w, v.min_leaf, v.max_leaf
 
         w, _, _ = walk(self.root)

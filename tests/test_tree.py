@@ -19,7 +19,7 @@ from rangemaj.counted_set import TARGET_BLOCK, CountedOrderedSet
 from rangemaj.errors import DuplicateKeyError
 from rangemaj.fuzz import FuzzDriver
 from rangemaj.oracle import NaiveStore, naive_majority
-from rangemaj.params import BRANCH
+from rangemaj.params import BRANCH, rebuild_threshold
 from rangemaj.registry import ColourRegistry
 from rangemaj.tree import MajorityIndex, count_ids, group_by_height
 
@@ -342,6 +342,27 @@ class TestCandidateLists:
         idx.insert(base + thresh, "fresh")
         assert v.rebuild_serial == serial + 1
         assert v.staleness == 0
+
+    @pytest.mark.parametrize("alpha", ["1/2", "1/4", "1/10", "3/10", "1/100"])
+    def test_rebuild_budget_matches_rebuild_threshold(self, alpha):
+        # the budget is integer arithmetic on beta's terms, which
+        # rebuild_threshold computes from beta itself: bulk lists, then
+        # rebuilt ones, over node weights of both parities
+        rng = random.Random(alpha)
+        weights = set()
+        for n in (900, 5003, 20_000):
+            idx = MajorityIndex.build([(x, "c%d" % rng.randrange(9)) for x in range(n)], alpha)
+            for v in idx.internal_nodes():
+                if v.cand is not None:
+                    assert v.rebuild_at == rebuild_threshold(v.weight, idx.cfg.beta)
+            for x in rng.sample(range(n), 41):
+                idx.delete(x)
+            for v in idx.internal_nodes():
+                if v.cand is not None:
+                    idx.rebuild_list(v)
+                    assert v.rebuild_at == rebuild_threshold(v.weight, idx.cfg.beta)
+                    weights.add(v.weight)
+        assert {w % 2 for w in weights} == {0, 1}
 
     def test_tracked_counts_stay_exact(self):
         idx = MajorityIndex.build([(i, "a" if i % 3 else "b") for i in range(300)], "1/2")
@@ -746,7 +767,11 @@ class TestWalk:
         i = data.draw(st.integers(min_value=0, max_value=size - 1))
         j = data.draw(st.integers(min_value=i, max_value=size - 1))
         m = j - i + 1
-        listed, ids = idx._accumulate(i, j + 1)
+        visits = idx.stats["pruned_leaf_visits"]
+        with mock.patch.object(MajorityIndex, "scan_pruned", autospec=True,
+                               side_effect=MajorityIndex.scan_pruned) as scans:
+            listed, ids = idx._accumulate(i, j + 1)
+        assert idx.stats["pruned_leaf_visits"] - visits == len(ids)
 
         def ranks(v):  # the ranks [first, end) of v's points
             first = idx.F.rank_lt(v.min_leaf.coord)
@@ -771,6 +796,17 @@ class TestWalk:
             covered.update(range(first, first + v.weight))
         col = idx.F.values_from(idx.F.select(i), m)
         assert ids == array("q", (c for r, c in enumerate(col) if r not in covered))
+        # one slice per maximal gap, each the run of ranks it starts at
+        gaps = []  # [first rank, point count] of each maximal gap
+        for r in range(m):
+            if r in covered:
+                continue
+            if gaps and sum(gaps[-1]) == r:
+                gaps[-1][1] += 1
+            else:
+                gaps.append([r, 1])
+        assert [c.args[1:] for c in scans.call_args_list] == [(i + r, w) for r, w in gaps]
+        assert len(gaps) <= len(listed) + 1
 
     @pytest.mark.parametrize("alpha", ["1/2", "1/4", "1/10", "1/100"])
     def test_majorities_pass_the_quarter_filter(self, alpha):
@@ -825,6 +861,142 @@ class TestWalk:
                 query_spy() as queries:
             d.run(3000)
         assert sum(dbg["mode"] == "general" for dbg in queries) > 100
+
+
+def read_heads(idx) -> list:
+    """Give every listed node of idx the head a query would keep, as if
+    each had been read, and return those nodes."""
+    nodes = [v for v in idx.internal_nodes() if v.cand is not None]
+    for v in nodes:
+        v.head = tree.candidate_head(v, idx._ap, idx._aq)
+    return nodes
+
+
+def path_to(idx, x) -> list:
+    """The internal nodes above the leaf whose key is the first at or
+    above x."""
+    leaf = next(idx._leaves_from(x))
+    out, v = [], leaf.parent
+    while v is not None:
+        out.append(v)
+        v = v.parent
+    return out
+
+
+class TestHeads:
+    """A listed node keeps the colours a query takes from its list, its
+    head, until a write to its list, staleness or weight drops it."""
+
+    def index(self, n=6000, seed=0):
+        rng = random.Random(seed)
+        pts = [(3 * i, "c%d" % min(rng.randrange(12), rng.randrange(12))) for i in range(n)]
+        return MajorityIndex.build(pts, "1/4")
+
+    def test_a_query_keeps_each_listed_nodes_head(self):
+        idx = self.index()
+        rng = random.Random(1)
+        orig = tree.candidate_head
+        general = 0
+        for _ in range(60):
+            lo = rng.randrange(18_000)
+            hi = lo + rng.randrange(500, 12_000)
+            with query_spy() as queries:
+                want = idx.query_counts(lo, hi)
+            dbg = queries[-1]
+            if dbg["mode"] != "general":
+                continue
+            general += 1
+            for v in dbg["listed"]:
+                assert v.head == orig(v, idx._ap, idx._aq)
+            # the same window again scans no list
+            with mock.patch.object(tree, "candidate_head", side_effect=orig) as spy:
+                assert idx.query_counts(lo, hi) == want
+            assert not spy.called
+        assert general > 20
+        idx.audit_tree(deep=True)
+
+    @pytest.mark.parametrize("op", ["insert", "delete"])
+    def test_an_update_drops_the_heads_on_its_path(self, op):
+        idx = self.index()
+        rng = random.Random(op)
+        for _ in range(40):
+            x = 3 * rng.randrange(6000) + (op == "insert")
+            if (op == "insert") == (x in idx.F):
+                continue
+            before = read_heads(idx)
+            if op == "insert":
+                idx.insert(x, "c%d" % rng.randrange(12))
+                on_path = path_to(idx, x)
+            else:
+                on_path = path_to(idx, x)
+                idx.delete(x)
+            live = {id(v) for v in idx.internal_nodes()}  # a merge detaches nodes
+            on_path = [v for v in on_path if id(v) in live]
+            assert on_path and all(v.head is None for v in on_path)
+            # a node that the update did not touch keeps its head
+            kept = [v for v in before if id(v) in live and all(v is not u for u in on_path)]
+            assert kept and all(v.head is not None for v in kept)
+            idx.audit_tree(deep=True)
+
+    def test_a_delete_that_drops_the_list_drops_the_head(self):
+        cut = MajorityIndex("1/2").prune_cutoff
+        idx = MajorityIndex.build([(x, "c%d" % (x % 3)) for x in range(cut + 1)], "1/2")
+        assert idx.query_counts(0, cut) == {}
+        assert idx.root.head is not None
+        idx.delete(0)
+        assert idx.root.cand is None and idx.root.head is None
+        idx.audit_tree(deep=True)
+
+    def test_a_rebuild_drops_the_head(self):
+        idx = self.index()
+        for v in read_heads(idx):
+            idx.rebuild_list(v)
+            assert v.head is None
+        v = read_heads(idx)[0]
+        seg = np.frombuffer(idx.F.values_from(v.min_leaf.coord, v.weight), np.int64)
+        idx._bulk_list(v, seg)
+        assert v.head is None
+        idx.audit_tree(deep=True)
+
+    def test_a_remap_drops_every_head(self):
+        idx = MajorityIndex.build([(x, "c%d" % (x % 40)) for x in range(4000)], "1/4")
+        for x in range(0, 4000, 40):  # colour c0 goes, and its id retires
+            idx.delete(x)
+        nodes = read_heads(idx)
+        mapping = idx.registry.maybe_remap(0)
+        assert mapping and any(mapping[c] != c for c in mapping)
+        idx._apply_remap(mapping)
+        assert all(v.head is None for v in nodes)
+        idx.audit_tree(deep=True)
+
+    def test_a_split_and_a_merge_start_without_heads(self):
+        idx = self.index(n=3000)
+        read_heads(idx)
+        splits, x = idx.stats["splits"], 1
+        while idx.stats["splits"] == splits:
+            idx.insert(x, "c0")
+            x += 3
+        assert all(v.head is None for v in path_to(idx, x - 3))
+        idx.audit_tree(deep=True)
+        read_heads(idx)
+        merged = idx.stats["merges"] + idx.stats["shares"]
+        keys = list(idx.F)
+        while idx.stats["merges"] + idx.stats["shares"] == merged:
+            idx.delete(keys.pop())
+        assert all(v.head is None for v in path_to(idx, keys[-1]))
+        idx.audit_tree(deep=True)
+
+    def test_audit_catches_a_stale_head(self):
+        idx = self.index()
+        v = read_heads(idx)[0]
+        v.head = v.head + [idx.registry.capacity]
+        with pytest.raises(AssertionError, match="candidate head"):
+            idx.audit_structure()
+        v.head = None
+        light = next(u for u in idx.internal_nodes() if u.cand is None)
+        light.head = []
+        with pytest.raises(AssertionError, match="candidate head"):
+            idx.audit_structure()
 
 
 class TestRankWindow:
@@ -1207,7 +1379,7 @@ def synthetic_parts(draw):
         order = sorted(then, key=lambda c: (-then[c], c))
         listed.append(SimpleNamespace(
             weight=w, staleness=moves + draw(st.integers(0, 2)),
-            cand={c: now[c] for c in order},
+            cand={c: now[c] for c in order}, head=None,
         ))
         full.update(now)
     return p, q, listed, ids, full
@@ -1271,10 +1443,21 @@ class TestPigeonhole:
         # part's floor bar by one
         p, q, listed, ids, full = parts
         m = sum(u.weight for u in listed) + len(ids)
-        out, tallies = tree.answer(m, listed, ids, p, q, 9,
-                                   lambda cs: [full[c] for c in cs])
+        asked = []
+
+        def exact(cs):
+            asked.append(list(cs))
+            return [full[c] for c in cs]
+
+        out, tallies = tree.answer(m, listed, ids, p, q, 9, exact)
         assert tallies == {c: n for c, n in full.items() if n > p * m // (4 * q)}
         assert out == {c: n for c, n in full.items() if q * n > p * m}
+        # exact counts go to the survivors that some listed node does not
+        # track, and to no other, in one call
+        short = [c for c in tallies if any(c not in u.cand for u in listed)]
+        assert asked == ([short] if short else [])
+        for u in listed:
+            assert u.head == tree.candidate_head(u, p, q)
 
 
 class TestStats:
